@@ -21,22 +21,21 @@
 // unordered pair recorded once — and contracted with the Sym variants,
 // which weight every pair by both directions.
 //
-// Aggregation is hash-free on the hot path: events count directly into
-// a pooled scratch grid with a one-bit-per-pair occupancy bitmap.
-// Chunk-monotone assignments keep communicating ranks close, so for
-// large p the grid stores only a band of dst-src deltas per source row
-// — a working set that fits cache where a full p x p grid cannot — and
-// the rare out-of-band pair lands in a small per-shard overflow map.
-// Finalize emits the matrix by scanning the bitmap's set bits (already
-// in (src, dst) order, merged with the sorted overflow), zeroing the
-// scratch behind itself for reuse.
+// Aggregation is row-bucketed and atomic-free: each Shard owns its
+// memory. For p <= 512 a shard counts into its own p x p grid and
+// Finalize sums the grids. Larger p log packed (src, dst) keys per
+// shard; Finalize counting-sorts the logs into src rows and folds each
+// row in a cache-resident p-wide counter straight into CSR. A full log
+// drains through the same fold into a sorted run that Finalize merges,
+// so memory tracks distinct pairs, not events.
 package commmat
 
 import (
-	"math/bits"
+	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"sfcacd/internal/acd"
 	"sfcacd/internal/obs"
@@ -53,66 +52,30 @@ var (
 	buildsCounter = obs.GetCounter("commmat.builds")
 )
 
-const (
-	// denseCells is the largest p*p for which the finalized matrix
-	// stores a dense p x p count grid (512 x 512 = 1 MiB of uint32)
-	// instead of the CSR form. Dense matrices contract with pure array
-	// indexing.
-	denseCells = 1 << 18
-	// maxScratchCells caps the scratch grid at 32 MiB of uint32. Up to
-	// that budget the grid covers all of p x p; past it each source row
-	// covers a band of dst-src deltas (p = 4096 gets a 2048-wide band,
-	// p = 65536 a 128-wide one), and below one 64-cell bitmap word per
-	// row aggregation is purely overflow-based.
-	maxScratchCells = 1 << 23
-)
+// denseCells is the largest p*p for which a matrix is stored, and
+// built, as a dense p x p count grid (512 x 512 = 1 MiB of uint32)
+// instead of the CSR form. Dense matrices contract with pure array
+// indexing.
+const denseCells = 1 << 18
 
-// scratchStride returns the scratch-grid row width for p ranks: p
-// itself (full grid), a delta band, or 0 for overflow-only
-// aggregation. Band strides are multiples of 64 so bitmap words never
-// straddle rows.
-func scratchStride(p int) int {
-	if p*p <= maxScratchCells {
-		return p
-	}
-	return (maxScratchCells / p) &^ 63
-}
+// logCap is the number of events a CSR-form shard logs before draining
+// them into a folded run: 8 MiB of packed keys. It is a variable only so
+// tests can force drains with a tiny log.
+var logCap = 1 << 20
 
-// scratch is a reusable aggregation grid: counts plus an occupancy
-// bitmap. Finalize re-zeroes it and returns it to the free list, which
-// holds strong references so the grids survive garbage collection.
-type scratch struct {
-	grid []uint32
-	bm   []uint64
-}
+// logPool recycles emptied shard logs across builds.
+var logPool = sync.Pool{New: func() any { return new([]uint64) }}
 
-var (
-	scratchMu   sync.Mutex
-	scratchFree []*scratch
-)
-
-const scratchKeep = 3
-
-func getScratch(cells int) *scratch {
-	words := (cells + 63) / 64
-	scratchMu.Lock()
-	for i, s := range scratchFree {
-		if len(s.grid) >= cells && len(s.bm) >= words {
-			scratchFree = append(scratchFree[:i], scratchFree[i+1:]...)
-			scratchMu.Unlock()
-			return s
-		}
-	}
-	scratchMu.Unlock()
-	return &scratch{grid: make([]uint32, cells), bm: make([]uint64, words)}
-}
-
-func putScratch(s *scratch) {
-	scratchMu.Lock()
-	if len(scratchFree) < scratchKeep {
-		scratchFree = append(scratchFree, s)
-	}
-	scratchMu.Unlock()
+// csr is a sorted (src, dst) -> count aggregation in compressed sparse
+// row form: rowSrc lists the distinct source ranks in ascending order;
+// row r's pairs are dsts/counts[rowStart[r]:rowStart[r+1]], with dsts
+// ascending within the row. It is both the CSR matrix form and the
+// shape of a drained shard run.
+type csr struct {
+	rowSrc   []int32
+	rowStart []int32
+	dsts     []int32
+	counts   []uint32
 }
 
 // Matrix is an immutable communication matrix over p processor ranks:
@@ -131,13 +94,8 @@ type Matrix struct {
 	diag uint64
 	// dense[src*p+dst] holds the pair count when p*p <= denseCells.
 	dense []uint32
-	// CSR form otherwise: rowSrc lists the distinct source ranks in
-	// ascending order; row r's pairs are dsts/counts[rowStart[r]:
-	// rowStart[r+1]], with dsts ascending within the row.
-	rowSrc   []int32
-	rowStart []int32
-	dsts     []int32
-	counts   []uint32
+	// csr holds the pairs otherwise.
+	csr
 }
 
 // P returns the number of processor ranks the matrix is defined over.
@@ -262,112 +220,228 @@ func (m *Matrix) contractTable(dt *topology.DistanceTable, acc *acd.Accumulator,
 // producers stop) merges the shards into the immutable Matrix.
 type Builder struct {
 	p      int
-	stride int      // scratch row width; 0 = overflow-only aggregation
-	scr    *scratch // shared by all shards when stride > 0
 	shards []*Shard
 }
 
 // NewBuilder returns a builder over p ranks with the given number of
 // shards (clamped to at least one).
-func NewBuilder(p, workers int) *Builder { return NewBuilderBanded(p, workers, 0) }
-
-// NewBuilderBanded is NewBuilder plus a caller hint that nearly all of
-// the stream's dst-src deltas fall in [0, band): the scratch grid then
-// covers only that band per source row, shrinking its working set to
-// cache-resident size. The hint is purely a performance knob — pairs
-// outside the band stay exact through the overflow log — and is
-// ignored when the default grid is at least as small, or when p is
-// small enough for the dense matrix form.
-func NewBuilderBanded(p, workers, band int) *Builder {
+func NewBuilder(p, workers int) *Builder {
 	if p < 1 {
 		panic("commmat: builder needs at least 1 rank")
 	}
 	if workers < 1 {
 		workers = 1
 	}
-	stride := scratchStride(p)
-	if band > 0 {
-		if hb := (band + 63) &^ 63; hb < stride && p*p > denseCells {
-			stride = hb
-		}
-	}
-	b := &Builder{p: p, stride: stride, shards: make([]*Shard, workers)}
-	if b.stride > 0 {
-		b.scr = getScratch(p * b.stride)
-	}
+	b := &Builder{p: p, shards: make([]*Shard, workers)}
 	for i := range b.shards {
-		s := &Shard{p: int32(p), stride: b.stride, full: b.stride == b.p, shared: workers > 1}
-		if b.scr != nil {
-			s.grid, s.bm = b.scr.grid, b.scr.bm
-		}
-		b.shards[i] = s
+		b.shards[i] = &Shard{p: uint32(p)}
 	}
 	return b
 }
 
-// Shard returns shard i (0 <= i < workers).
-func (b *Builder) Shard(i int) *Shard { return b.shards[i] }
+// Shard returns shard i (0 <= i < workers), allocating its working set
+// on first use so shards that are never fed cost nothing.
+func (b *Builder) Shard(i int) *Shard {
+	s := b.shards[i]
+	switch {
+	case b.p*b.p <= denseCells:
+		if s.cells == nil {
+			s.cells = make([]uint32, b.p*b.p)
+		}
+	case s.hist == nil:
+		s.hist = make([]uint32, b.p)
+		s.log = (*logPool.Get().(*[]uint64))[:0]
+	}
+	return s
+}
 
-// Shard is one producer-side view of the aggregation. In grid mode
-// events count straight into the builder's shared scratch (atomically
-// when there are concurrent shards); pairs outside a banded grid's
-// delta range — and every pair in overflow-only mode — append to the
-// shard-local overflow log, which Finalize sorts and run-length
-// collapses.
+// Shard is one producer's private share of the aggregation: a p x p
+// count grid in the dense form, otherwise an event log with its per-src
+// histogram plus the sorted runs earlier full logs drained into.
 type Shard struct {
-	p      int32
-	stride int
-	full   bool // grid rows span all of [0, p), not a delta band
-	shared bool
-	grid   []uint32
-	bm     []uint64
-	over   []uint64 // one packed (src, dst) key per overflow event
+	p     uint32
+	cells []uint32 // dense form: cells[src*p+dst] counts the pair
+	log   []uint64 // CSR form: packed src<<32|dst per event since the last drain
+	hist  []uint32 // CSR form: log events per src
+	runs  []csr    // CSR form: drained logs, largest first
 }
 
 // Add records one communication event from src to dst. Both must be in
-// [0, p). Streams aggregated in canonical src <= dst order stay on the
-// banded fast path; arbitrary pairs remain correct via the overflow
-// log.
+// [0, p); an out-of-range pair panics, naming the pair.
 func (s *Shard) Add(src, dst int32) {
-	var idx int
-	if s.full {
-		idx = int(src)*s.stride + int(dst)
-	} else {
-		d := int(dst) - int(src)
-		if uint(d) >= uint(s.stride) {
-			s.over = append(s.over, uint64(uint32(src))<<32|uint64(uint32(dst)))
-			return
-		}
-		idx = int(src)*s.stride + d
+	if uint32(src) >= s.p || uint32(dst) >= s.p {
+		panic(fmt.Sprintf("commmat: pair (%d, %d) out of range for %d ranks", src, dst, s.p))
 	}
-	// The occupancy bit only needs setting when the count leaves zero —
-	// once per distinct pair, not once per event.
-	if s.shared {
-		if atomic.AddUint32(&s.grid[idx], 1) == 1 {
-			orBit(s.bm, idx)
+	if s.cells != nil {
+		i := int(src)*int(s.p) + int(dst)
+		c := s.cells[i]
+		if c == math.MaxUint32 {
+			countOverflow(src, dst)
 		}
+		s.cells[i] = c + 1
 		return
 	}
-	c := s.grid[idx]
-	s.grid[idx] = c + 1
-	if c == 0 {
-		s.bm[idx>>6] |= 1 << (uint(idx) & 63)
+	if len(s.log) == logCap {
+		s.drain()
 	}
+	s.log = append(s.log, uint64(src)<<32|uint64(dst))
+	s.hist[src]++
 }
 
-// orBit sets a bitmap bit atomically (compare-and-swap loop).
-func orBit(bm []uint64, idx int) {
-	addr := &bm[idx>>6]
-	bit := uint64(1) << (uint(idx) & 63)
-	for {
-		old := atomic.LoadUint64(addr)
-		if old&bit != 0 {
-			return
-		}
-		if atomic.CompareAndSwapUint64(addr, old, old|bit) {
-			return
+// drain folds the full log into a new sorted run and empties the log.
+// Runs merge while the newer one is at least half the size of the one
+// before it, so a shard holds O(log) runs and each pair is re-folded
+// O(log) times however long the stream.
+func (s *Shard) drain() {
+	run, _ := fold(int(s.p), [][]uint64{s.log}, [][]uint32{s.hist}, nil)
+	s.runs = append(s.runs, run)
+	for n := len(s.runs); n >= 2 && len(s.runs[n-2].dsts) <= 2*len(s.runs[n-1].dsts); n-- {
+		s.runs[n-2], _ = fold(int(s.p), nil, nil, s.runs[n-2:])
+		s.runs = s.runs[:n-1]
+	}
+	s.log = s.log[:0]
+	clear(s.hist)
+}
+
+// countOverflow reports a pair whose event count would pass the uint32
+// range of the matrix counts.
+func countOverflow(src, dst int32) {
+	panic(fmt.Sprintf("commmat: event count of pair (%d, %d) overflows uint32", src, dst))
+}
+
+// folder is the reusable working memory of fold.
+type folder struct {
+	end     []int    // per-row scatter cursor, then the row's end
+	row     []int32  // the logs' dsts bucketed by src row
+	cnt     []uint32 // the current row's count per dst; zero between rows
+	touched []int32  // dsts the current row has counted, p+1 long
+	out     csr      // the growing output, copied out exact-size
+}
+
+var folderPool = sync.Pool{New: func() any { return new(folder) }}
+
+// fold aggregates event logs (each event weight 1, hists[i] counting
+// logs[i]'s events per src) and weighted sorted runs into one sorted
+// csr over p ranks, returning it with its event total.
+//
+// One counting-sort scatter buckets the logs' dsts by src row; then
+// each row folds its duplicates — log events and the row's run entries
+// alike — in a p-wide counter that stays cache-resident and remembers
+// the dsts it touched. The row's distinct dsts come out in order by a
+// scan of the counter over their span when they fill a good part of
+// it, else by sorting the few touched. Every addition is checked
+// against the uint32 count range.
+func fold(p int, logs [][]uint64, hists [][]uint32, runs []csr) (csr, uint64) {
+	// Not deferred: a fold that panics on an overflow leaves its counter
+	// dirty, so its folder must not return to the pool.
+	f := folderPool.Get().(*folder)
+	f.end = slices.Grow(f.end[:0], p)[:p]
+	n := 0
+	for src := range f.end {
+		f.end[src] = n
+		for _, h := range hists {
+			n += int(h[src])
 		}
 	}
+	row := slices.Grow(f.row[:0], n)[:n]
+	f.row = row
+	for _, l := range logs {
+		// Producers emit long runs of one src, so the run's cursor stays
+		// in a register instead of round-tripping through end[src].
+		src, at := 0, f.end[0]
+		for _, k := range l {
+			if s := int(k >> 32); s != src {
+				f.end[src], src, at = at, s, f.end[s]
+			}
+			row[at] = int32(uint32(k))
+			at++
+		}
+		f.end[src] = at
+	}
+
+	if len(f.cnt) < p {
+		f.cnt = make([]uint32, p)
+		f.touched = make([]int32, p+1)
+	}
+	cnt, touched := f.cnt[:p], f.touched[:p+1]
+	next := make([]int, len(runs)) // each run's next row
+	out := csr{rowSrc: f.out.rowSrc[:0], rowStart: append(f.out.rowStart[:0], 0), dsts: f.out.dsts[:0], counts: f.out.counts[:0]}
+	var events uint64
+	lo := 0
+	for src := 0; src < p; src++ {
+		nt := 0
+		for i := range runs {
+			r := &runs[i]
+			k := next[i]
+			if k == len(r.rowSrc) || r.rowSrc[k] != int32(src) {
+				continue
+			}
+			next[i]++
+			for j := r.rowStart[k]; j < r.rowStart[k+1]; j++ {
+				d, w := r.dsts[j], r.counts[j]
+				c := cnt[d]
+				if c == 0 {
+					touched[nt] = d
+					nt++
+				} else if c > math.MaxUint32-w {
+					countOverflow(int32(src), d)
+				}
+				cnt[d] = c + w
+			}
+		}
+		// A row has at most p distinct dsts, so touched (p+1 long) can
+		// take every dst unconditionally and advance only past first
+		// touches: no branch on whether a dst repeats.
+		for _, d := range row[lo:f.end[src]] {
+			c := cnt[d]
+			touched[nt] = d
+			if c == 0 {
+				nt++
+			}
+			if c == math.MaxUint32 {
+				countOverflow(int32(src), d)
+			}
+			cnt[d] = c + 1
+		}
+		lo = f.end[src]
+		if nt == 0 {
+			continue
+		}
+		first, last := touched[0], touched[0]
+		for _, d := range touched[:nt] {
+			first, last = min(first, d), max(last, d)
+		}
+		if int(last-first) < 16*nt {
+			for d := first; d <= last; d++ {
+				if c := cnt[d]; c != 0 {
+					cnt[d] = 0
+					out.dsts = append(out.dsts, d)
+					out.counts = append(out.counts, c)
+					events += uint64(c)
+				}
+			}
+		} else {
+			slices.Sort(touched[:nt])
+			for _, d := range touched[:nt] {
+				c := cnt[d]
+				cnt[d] = 0
+				out.dsts = append(out.dsts, d)
+				out.counts = append(out.counts, c)
+				events += uint64(c)
+			}
+		}
+		out.rowSrc = append(out.rowSrc, int32(src))
+		out.rowStart = append(out.rowStart, int32(len(out.dsts)))
+	}
+	res := csr{
+		rowSrc:   slices.Clone(out.rowSrc),
+		rowStart: slices.Clone(out.rowStart),
+		dsts:     slices.Clone(out.dsts),
+		counts:   slices.Clone(out.counts),
+	}
+	f.out = out
+	folderPool.Put(f)
+	return res, events
 }
 
 // Finalize merges all shards into the immutable Matrix and records the
@@ -375,13 +449,30 @@ func orBit(bm []uint64, idx int) {
 func (b *Builder) Finalize() *Matrix {
 	defer obs.StartSpan("commmat.finalize").End()
 	m := &Matrix{p: b.p}
-	keys, counts := b.mergedOverflow()
-	if b.scr != nil {
-		b.finalizeGrid(m, keys, counts)
+	if b.p*b.p <= denseCells {
+		b.finalizeDense(m)
 	} else {
-		b.finalizeOverflow(m, keys, counts)
+		var logs [][]uint64
+		var hists [][]uint32
+		var runs []csr
+		for _, s := range b.shards {
+			if s.hist != nil {
+				logs, hists = append(logs, s.log), append(hists, s.hist)
+				runs = append(runs, s.runs...)
+			}
+		}
+		m.csr, m.events = fold(b.p, logs, hists, runs)
+		m.pairs = len(m.dsts)
+		for _, l := range logs {
+			logPool.Put(&l)
+		}
 	}
 	m.computeDiag()
+	// The matrix owns a shard grid and the pool owns the logs now: a
+	// shard fed after Finalize must panic (p = 0), not write into them.
+	for _, s := range b.shards {
+		*s = Shard{}
+	}
 	b.shards = nil
 	buildsCounter.Inc()
 	eventsCounter.Add(m.events)
@@ -389,183 +480,33 @@ func (b *Builder) Finalize() *Matrix {
 	return m
 }
 
-// mergedOverflow concatenates the shards' overflow logs, sorts them,
-// and run-length collapses the result into unique ascending (src, dst)
-// keys with per-pair counts.
-func (b *Builder) mergedOverflow() ([]uint64, []uint32) {
-	total := 0
+// finalizeDense sums the shards' count grids into the first one fed,
+// which becomes the matrix's dense grid.
+func (b *Builder) finalizeDense(m *Matrix) {
 	for _, s := range b.shards {
-		total += len(s.over)
-	}
-	if total == 0 {
-		return nil, nil
-	}
-	all := make([]uint64, 0, total)
-	for _, s := range b.shards {
-		all = append(all, s.over...)
-		s.over = nil
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	keys := all[:0] // in-place: the write index never passes the read index
-	counts := make([]uint32, 0, 16)
-	for i := 0; i < len(all); {
-		k := all[i]
-		j := i + 1
-		for j < len(all) && all[j] == k {
-			j++
+		if s.cells == nil {
+			continue
 		}
-		keys = append(keys, k)
-		counts = append(counts, uint32(j-i))
-		i = j
-	}
-	return keys, counts
-}
-
-// finalizeGrid emits the matrix by scanning the occupancy bitmap — set
-// bits come out in ascending (src, dst) order — merging any out-of-band
-// overflow in place, and zeroes the scratch behind itself before
-// returning it to the free list.
-func (b *Builder) finalizeGrid(m *Matrix, keys []uint64, kcounts []uint32) {
-	grid, bm := b.scr.grid, b.scr.bm
-	cells := b.p * b.stride
-	words := (cells + 63) / 64
-	pairs := len(keys)
-	for w := 0; w < words; w++ {
-		pairs += bits.OnesCount64(bm[w])
-	}
-	if b.stride == b.p {
-		// Full grid: the global bit order is already (src, dst) order
-		// and there is no overflow.
-		if b.p*b.p <= denseCells {
-			m.dense = make([]uint32, b.p*b.p)
-			m.pairs = pairs
-			for w := 0; w < words; w++ {
-				word := bm[w]
-				if word == 0 {
-					continue
-				}
-				bm[w] = 0
-				for word != 0 {
-					idx := w<<6 + bits.TrailingZeros64(word)
-					word &= word - 1
-					n := grid[idx]
-					grid[idx] = 0
-					m.dense[idx] = n
-					m.events += uint64(n)
-				}
-			}
-		} else {
-			m.rowStart = append(m.rowStart, 0)
-			m.dsts = make([]int32, 0, pairs)
-			m.counts = make([]uint32, 0, pairs)
-			curSrc, rowBase, rowEnd := int32(0), 0, b.stride
-			open := false
-			for w := 0; w < words; w++ {
-				word := bm[w]
-				if word == 0 {
-					continue
-				}
-				bm[w] = 0
-				for word != 0 {
-					idx := w<<6 + bits.TrailingZeros64(word)
-					word &= word - 1
-					if idx >= rowEnd {
-						if open {
-							m.rowStart = append(m.rowStart, int32(len(m.dsts)))
-							open = false
-						}
-						for idx >= rowEnd {
-							curSrc++
-							rowBase = rowEnd
-							rowEnd += b.stride
-						}
-					}
-					if !open {
-						m.rowSrc = append(m.rowSrc, curSrc)
-						open = true
-					}
-					n := grid[idx]
-					grid[idx] = 0
-					m.dsts = append(m.dsts, int32(idx-rowBase))
-					m.counts = append(m.counts, n)
-					m.events += uint64(n)
-				}
-			}
-			if open {
-				m.rowStart = append(m.rowStart, int32(len(m.dsts)))
-			}
-			m.pairs = len(m.dsts)
+		if m.dense == nil {
+			m.dense = s.cells
+			continue
 		}
-	} else {
-		// Banded grid: walk row by row (band strides are multiples of
-		// 64), interleaving overflow pairs on the correct side of the
-		// band to keep dst ascending within each row.
-		m.rowStart = append(m.rowStart, 0)
-		m.dsts = make([]int32, 0, pairs)
-		m.counts = make([]uint32, 0, pairs)
-		rowWords := b.stride / 64
-		k := 0
-		for src := int32(0); src < int32(b.p); src++ {
-			before := len(m.dsts)
-			for k < len(keys) && int32(keys[k]>>32) == src && int32(keys[k]) < src {
-				m.dsts = append(m.dsts, int32(keys[k]))
-				m.counts = append(m.counts, kcounts[k])
-				m.events += uint64(kcounts[k])
-				k++
+		for i, c := range s.cells {
+			t := m.dense[i] + c
+			if t < c {
+				countOverflow(int32(i/b.p), int32(i%b.p))
 			}
-			base := int(src) * b.stride
-			w0 := base / 64
-			for rw := 0; rw < rowWords; rw++ {
-				word := bm[w0+rw]
-				if word == 0 {
-					continue
-				}
-				bm[w0+rw] = 0
-				for word != 0 {
-					idx := (w0+rw)<<6 + bits.TrailingZeros64(word)
-					word &= word - 1
-					n := grid[idx]
-					grid[idx] = 0
-					m.dsts = append(m.dsts, src+int32(idx-base))
-					m.counts = append(m.counts, n)
-					m.events += uint64(n)
-				}
-			}
-			for k < len(keys) && int32(keys[k]>>32) == src {
-				m.dsts = append(m.dsts, int32(keys[k]))
-				m.counts = append(m.counts, kcounts[k])
-				m.events += uint64(kcounts[k])
-				k++
-			}
-			if len(m.dsts) > before {
-				m.rowSrc = append(m.rowSrc, src)
-				m.rowStart = append(m.rowStart, int32(len(m.dsts)))
-			}
+			m.dense[i] = t
 		}
-		m.pairs = len(m.dsts)
 	}
-	putScratch(b.scr)
-	b.scr = nil
-}
-
-// finalizeOverflow emits the sorted CSR form straight from the merged
-// overflow log — the fallback for rank counts whose grid would not fit
-// the scratch budget.
-func (b *Builder) finalizeOverflow(m *Matrix, keys []uint64, kcounts []uint32) {
-	m.pairs = len(keys)
-	m.rowStart = append(m.rowStart, 0)
-	m.dsts = make([]int32, len(keys))
-	m.counts = make([]uint32, len(keys))
-	copy(m.counts, kcounts)
-	for i, k := range keys {
-		src := int32(k >> 32)
-		if len(m.rowSrc) == 0 || m.rowSrc[len(m.rowSrc)-1] != src {
-			m.rowSrc = append(m.rowSrc, src)
-			m.rowStart = append(m.rowStart, int32(i))
+	if m.dense == nil {
+		m.dense = make([]uint32, b.p*b.p)
+	}
+	for _, c := range m.dense {
+		if c != 0 {
+			m.pairs++
+			m.events += uint64(c)
 		}
-		m.rowStart[len(m.rowStart)-1] = int32(i + 1)
-		m.dsts[i] = int32(uint32(k))
-		m.events += uint64(kcounts[i])
 	}
 }
 

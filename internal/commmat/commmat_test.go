@@ -1,7 +1,10 @@
 package commmat
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -18,8 +21,8 @@ func (r refMatrix) add(src, dst int32) {
 }
 
 // randomEvents yields a deterministic event stream over p ranks whose
-// deltas mix tight locality (the banded fast path) with occasional far
-// jumps (the overflow path), including dst < src pairs.
+// deltas mix tight locality with occasional far jumps, including
+// dst < src pairs.
 func randomEvents(seed int64, p, n int) [][2]int32 {
 	rng := rand.New(rand.NewSource(seed))
 	events := make([][2]int32, n)
@@ -43,6 +46,19 @@ func randomEvents(seed int64, p, n int) [][2]int32 {
 		events[i] = [2]int32{src, dst}
 	}
 	return events
+}
+
+// burstyEvents repeats each event of a stream 1 to 8 times back to
+// back, the way traversals emit runs of one pair.
+func burstyEvents(events [][2]int32) [][2]int32 {
+	rng := rand.New(rand.NewSource(int64(len(events))))
+	var out [][2]int32
+	for _, e := range events {
+		for r := rng.Intn(8) + 1; r > 0; r-- {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // checkAgainstRef verifies the matrix against the brute-force map and
@@ -81,18 +97,18 @@ func buildWith(p, workers int, events [][2]int32) *Matrix {
 	return b.Finalize()
 }
 
-// TestBuilderMatchesBruteForce covers every aggregation mode: dense
-// final form, full-grid CSR, banded grid with overflow, a deliberately
-// narrow band, and the overflow-only fallback for huge p.
+// TestBuilderMatchesBruteForce covers both aggregation forms: the
+// per-shard dense grid (p <= 512) and the logged, row-folded CSR form
+// at several rank counts, up to one far past any grid budget.
 func TestBuilderMatchesBruteForce(t *testing.T) {
 	cases := []struct {
 		name string
 		p, n int
 	}{
 		{"dense", 64, 5000},            // p*p <= denseCells
-		{"fullCSR", 600, 20000},        // full grid, CSR output
-		{"banded", 4096, 40000},        // p*p > maxScratchCells: delta band
-		{"overflowOnly", 200000, 3000}, // stride rounds to 0
+		{"fullCSR", 600, 20000},        // smallest CSR rank counts
+		{"banded", 4096, 40000},        // table12 scale
+		{"overflowOnly", 200000, 3000}, // rows far sparser than p
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -108,21 +124,130 @@ func TestBuilderMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestBandedHintStaysExact pins that a caller-supplied band narrower
-// than the stream's real spread only moves pairs to the overflow path,
-// never changes the result.
-func TestBandedHintStaysExact(t *testing.T) {
-	const p, n = 2000, 30000
-	events := randomEvents(7, p, n)
+// TestBuilderDrainExact forces a tiny log capacity so CSR-form shards
+// drain into runs, merge runs and fold runs with logs at Finalize many
+// times over, across the dense/CSR boundary, shard counts with empty
+// shards, and an empty stream. The stream repeats pairs back to back,
+// so runs and logs share pairs.
+func TestBuilderDrainExact(t *testing.T) {
+	defer func(c int) { logCap = c }(logCap)
+	logCap = 37
+	for _, p := range []int{1, 2, 511, 512, 513, 2896, 4096} {
+		for _, n := range []int{0, 6000} {
+			events := burstyEvents(randomEvents(int64(p)+int64(n), p, n))
+			ref := refMatrix{}
+			for _, e := range events {
+				ref.add(e[0], e[1])
+			}
+			for _, workers := range []int{1, 2, 3, 16} {
+				m := buildWith(p, workers, events)
+				if dense := p*p <= denseCells; (m.dense != nil) != dense {
+					t.Fatalf("p=%d: dense form = %v, want %v", p, m.dense != nil, dense)
+				}
+				checkAgainstRef(t, m, ref)
+				var want uint64
+				for k, c := range ref {
+					if k>>32 == uint64(uint32(k)) {
+						want += uint64(c)
+					}
+				}
+				if m.diag != want {
+					t.Fatalf("p=%d n=%d workers=%d: diagonal %d, want %d", p, n, workers, m.diag, want)
+				}
+			}
+		}
+	}
+}
+
+// TestBuilderFullRow: a row that touches every dst and then repeats
+// them fills the fold's touched list to the brim.
+func TestBuilderFullRow(t *testing.T) {
+	const p = 513
+	var events [][2]int32
+	for rep := 0; rep < 2; rep++ {
+		for d := int32(0); d < p; d++ {
+			events = append(events, [2]int32{7, d})
+		}
+	}
 	ref := refMatrix{}
 	for _, e := range events {
 		ref.add(e[0], e[1])
 	}
-	b := NewBuilderBanded(p, 2, 64)
-	for i, e := range events {
-		b.Shard(i%2).Add(e[0], e[1])
+	checkAgainstRef(t, buildWith(p, 1, events), ref)
+}
+
+// TestBuilderRejectsOutOfRange: a pair outside [0, p) panics with a
+// message naming it, in both forms, instead of landing in another
+// pair's count; so does any pair fed to a shard after Finalize.
+func TestBuilderRejectsOutOfRange(t *testing.T) {
+	for _, p := range []int{64, 600, 4096} {
+		for _, pair := range [][2]int32{{0, int32(p)}, {int32(p), 0}, {-1, 3}, {3, -1}, {int32(p) - 1, int32(p) + 5}} {
+			func() {
+				defer func() {
+					want := fmt.Sprintf("pair (%d, %d)", pair[0], pair[1])
+					if r, _ := recover().(string); !strings.Contains(r, want) {
+						t.Errorf("p=%d Add%v: panic %q, want one naming %q", p, pair, r, want)
+					}
+				}()
+				NewBuilder(p, 1).Shard(0).Add(pair[0], pair[1])
+			}()
+		}
+		// A shard fed after Finalize must not write into the matrix's
+		// grid or a pooled log.
+		b := NewBuilder(p, 1)
+		s := b.Shard(0)
+		s.Add(1, 2)
+		m := b.Finalize()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("p=%d: Add after Finalize did not panic", p)
+				}
+			}()
+			s.Add(1, 2)
+		}()
+		if m.Events() != 1 || m.Pairs() != 1 {
+			t.Errorf("p=%d: matrix changed after Finalize: %d events, %d pairs", p, m.Events(), m.Pairs())
+		}
 	}
-	checkAgainstRef(t, b.Finalize(), ref)
+}
+
+// TestCountOverflowPanics feeds weighted runs and near-full dense
+// counts at the edge of the uint32 range: reaching MaxUint32 exactly is
+// fine, one event past it panics naming the pair.
+func TestCountOverflowPanics(t *testing.T) {
+	const p = 1024
+	run := func(src, dst int32, n uint32) csr {
+		return csr{rowSrc: []int32{src}, rowStart: []int32{0, 1}, dsts: []int32{dst}, counts: []uint32{n}}
+	}
+	expectOverflow := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if r, _ := recover().(string); !strings.Contains(r, "pair (3, 7)") || !strings.Contains(r, "overflows uint32") {
+				t.Errorf("%s: panic %q, want a uint32 overflow naming pair (3, 7)", name, r)
+			}
+		}()
+		f()
+	}
+
+	out, events := fold(p, nil, nil, []csr{run(3, 7, math.MaxUint32-5), run(3, 7, 5)})
+	if len(out.dsts) != 1 || out.counts[0] != math.MaxUint32 || events != math.MaxUint32 {
+		t.Fatalf("exact fill: got counts %v events %d", out.counts, events)
+	}
+	expectOverflow("run+run", func() {
+		fold(p, nil, nil, []csr{run(3, 7, math.MaxUint32-5), run(3, 7, 6)})
+	})
+	hist := make([]uint32, p)
+	hist[3] = 1
+	expectOverflow("run+log", func() {
+		fold(p, [][]uint64{{3<<32 | 7}}, [][]uint32{hist}, []csr{run(3, 7, math.MaxUint32)})
+	})
+
+	b := NewBuilder(64, 2)
+	b.Shard(0).cells[3*64+7] = math.MaxUint32
+	expectOverflow("dense Add", func() { b.Shard(0).Add(3, 7) })
+	b.Shard(1).Add(3, 7)
+	expectOverflow("dense Finalize", func() { b.Finalize() })
 }
 
 // TestDeterministicAcrossWorkers: the finalized matrix is identical no
@@ -226,4 +351,60 @@ func TestConcurrentShards(t *testing.T) {
 	}
 	wg.Wait()
 	checkAgainstRef(t, b.Finalize(), ref)
+}
+
+// tableStream yields a canonical (src <= dst) event stream shaped like
+// one table12 far-field build at p ranks: sources advance along the
+// curve, about 95% of partners sit a few ranks above, and the other 5%
+// land anywhere above.
+func tableStream(p, n int) [][2]int32 {
+	rng := rand.New(rand.NewSource(1))
+	events := make([][2]int32, n)
+	for i := range events {
+		src := int32(i * p / n)
+		dst := src + int32(rng.Intn(16))
+		if rng.Intn(20) == 0 {
+			dst = src + int32(rng.Intn(p-int(src)))
+		}
+		if dst >= int32(p) {
+			dst = int32(p) - 1
+		}
+		events[i] = [2]int32{src, dst}
+	}
+	return events
+}
+
+var benchPairs int
+
+// BenchmarkBuilderAdd times one Add per event plus Finalize on a
+// table12-shaped stream, with one builder and with two builders running
+// at once (two sweep cells sharing the machine). ns/event is wall time
+// over all events of all builders.
+func BenchmarkBuilderAdd(b *testing.B) {
+	const p, n = 4096, 300000
+	events := tableStream(p, n)
+	for _, builders := range []int{1, 2} {
+		b.Run(fmt.Sprintf("builders=%d", builders), func(b *testing.B) {
+			b.ReportAllocs()
+			pairs := make([]int, builders)
+			for i := 0; i < b.N; i++ {
+				var wg sync.WaitGroup
+				for j := range pairs {
+					wg.Add(1)
+					go func(j int) {
+						defer wg.Done()
+						bd := NewBuilder(p, 1)
+						s := bd.Shard(0)
+						for _, e := range events {
+							s.Add(e[0], e[1])
+						}
+						pairs[j] = bd.Finalize().Pairs()
+					}(j)
+				}
+				wg.Wait()
+			}
+			benchPairs = pairs[0]
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*builders*n), "ns/event")
+		})
+	}
 }

@@ -33,7 +33,6 @@ package commmat
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"sfcacd/internal/acd"
 	"sfcacd/internal/obs"
@@ -236,49 +235,40 @@ func (m *Matrix) contractTableMulti(dts []*topology.DistanceTable, accs []*acd.A
 	}
 	ranges := pl.ranges
 
-	// Contract every range into its own slab. Workers pull ranges from
-	// a shared cursor; each range's slab is identified by range index,
-	// so scheduling never reaches the results.
+	// Contract every range into its own slab. Workers pull range indices
+	// from a channel preloaded with all of them; each range's slab is
+	// identified by range index, so scheduling never reaches the results.
 	slabs := make([]*fusedSlab, len(ranges))
-	run := func() {
+	next := make(chan int, len(ranges)) // sized to the number of sends
+	for i := range ranges {
+		next <- i
+	}
+	close(next)
+	work := func() {
 		var dsts []int32
 		var ns []uint32
 		if m.dense != nil {
 			dsts = make([]int32, 0, m.p)
 			ns = make([]uint32, 0, m.p)
 		}
-		for i := range ranges {
-			slabs[i] = getSlab(k)
-			m.fuseRange(ranges[i].lo, ranges[i].hi, pl, numRows, weight, slabs[i], &dsts, &ns)
+		for i := range next {
+			s := getSlab(k)
+			m.fuseRange(ranges[i].lo, ranges[i].hi, pl, numRows, weight, s, &dsts, &ns)
+			slabs[i] = s
 		}
 	}
 	if workers > len(ranges) {
 		workers = len(ranges)
 	}
 	if workers <= 1 {
-		run()
+		work()
 	} else {
-		var cursor atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				var dsts []int32
-				var ns []uint32
-				if m.dense != nil {
-					dsts = make([]int32, 0, m.p)
-					ns = make([]uint32, 0, m.p)
-				}
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= len(ranges) {
-						return
-					}
-					s := getSlab(k)
-					m.fuseRange(ranges[i].lo, ranges[i].hi, pl, numRows, weight, s, &dsts, &ns)
-					slabs[i] = s
-				}
+				work()
 			}()
 		}
 		wg.Wait()

@@ -39,8 +39,8 @@ func freshTables(topos []topology.Topology) []*topology.DistanceTable {
 }
 
 // TestFusedContractMultiEquivalence is the fused-vs-sequential
-// property test: across matrix forms (dense, full-grid CSR, banded
-// CSR), seeds, placement curves, all six topology kinds, Sym and
+// property test: across matrix forms (dense, and CSR at two rank
+// counts), seeds, placement curves, all six topology kinds, Sym and
 // non-Sym weighting, and worker counts, the fused pass must produce
 // exactly (Sum/Count/Zeros) the per-topology ContractTable results.
 func TestFusedContractMultiEquivalence(t *testing.T) {
@@ -51,8 +51,8 @@ func TestFusedContractMultiEquivalence(t *testing.T) {
 		p, n int
 	}{
 		{"dense", 64, 5000},      // p*p <= denseCells
-		{"fullCSR", 1024, 20000}, // full grid, CSR output
-		{"banded", 4096, 40000},  // p*p > maxScratchCells: delta band
+		{"fullCSR", 1024, 20000}, // CSR output
+		{"banded", 4096, 40000},  // CSR at table12 scale
 	}
 	for _, tc := range cases {
 		for seed := int64(1); seed <= 2; seed++ {

@@ -16,11 +16,11 @@ import (
 // under their new ranks, carrying the matrix across timesteps instead
 // of rebuilding it.
 //
-// The layout mirrors the Builder's banded scratch: counts indexed by
-// (src, dst-src delta) with an occupancy bitmap, plus an overflow map
-// for the rare pair beyond the band. Unlike the pooled scratch it is
-// owned by one maintainer for its whole life and is never shared, so
-// all updates are plain (single-goroutine) arithmetic.
+// The layout is a banded grid: counts indexed by (src, dst-src delta)
+// with an occupancy bitmap, plus an overflow map for the rare pair
+// beyond the band. It is owned by one maintainer for its whole life and
+// is never shared, so all updates are plain (single-goroutine)
+// arithmetic.
 type Mutable struct {
 	p      int
 	stride int // band width in deltas; 0 = map-only aggregation
@@ -29,6 +29,20 @@ type Mutable struct {
 	over   map[uint64]uint32
 	events uint64
 	pairs  int
+}
+
+// maxScratchCells caps the band grid at 32 MiB of uint32.
+const maxScratchCells = 1 << 23
+
+// scratchStride returns the band-grid row width for p ranks: p itself
+// while p x p fits maxScratchCells, else a band of dst-src deltas (2048
+// wide at p = 4096), or 0 for map-only aggregation. Band strides are
+// multiples of 64 so bitmap words never straddle rows.
+func scratchStride(p int) int {
+	if p*p <= maxScratchCells {
+		return p
+	}
+	return (maxScratchCells / p) &^ 63
 }
 
 // NewMutable returns an empty mutable matrix over p ranks.

@@ -30,27 +30,6 @@ import (
 // The far-field matrices stay separate per communication type so
 // FFIResult's breakdown survives aggregation.
 
-// tightBand is the scratch-band hint for the near-field and
-// interpolation builders: chunk-monotone assignment keeps spatially
-// adjacent particles (and a cell and its parent's representative) a few
-// chunks apart along the curve, so almost every canonical pair has a
-// rank delta well under 256. The hint only sizes the aggregation grid;
-// curve discontinuities that jump further (Morton or Gray boundaries)
-// land in the exact overflow path. Interaction-list partners sit whole
-// cells apart and need the default, wider band.
-const tightBand = 256
-
-// ilBand is the scratch-band hint for the key-space engine's
-// interaction-list builder. IL partners sit whole cells apart, so the
-// near-field band is too tight, but the delta profile is still heavily
-// concentrated: at table12 scale (order 8, p = 4096) 95-99% of IL
-// events across the four curves land under delta 512. Banding there
-// shrinks the aggregation grid from 32 MiB (the p = 4096 default) to 8
-// MiB, keeping the count-increment hot path close to cache-resident;
-// the coarse-level pairs whose representative deltas exceed the band
-// stay exact through the overflow log.
-const ilBand = 512
-
 // NFIMatrix aggregates the assignment's near-field event stream in one
 // parallel traversal into a symmetric-canonical matrix: every unordered
 // particle pair within opts.Radius contributes one event between the
@@ -69,7 +48,7 @@ func NFIMatrix(a *acd.Assignment, opts NFIOptions) *commmat.Matrix {
 	if workers > n {
 		workers = n
 	}
-	b := commmat.NewBuilderBanded(a.P, workers, tightBand)
+	b := commmat.NewBuilder(a.P, workers)
 	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -112,7 +91,7 @@ func nfiMatrixKeys(a *acd.Assignment, opts NFIOptions) *commmat.Matrix {
 	if workers > n {
 		workers = n
 	}
-	b := commmat.NewBuilderBanded(a.P, workers, tightBand)
+	b := commmat.NewBuilder(a.P, workers)
 	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -163,7 +142,7 @@ func FFIMatricesFromTree(tree *quadtree.RankTree, p, workers int) FFIMatrices {
 	if workers <= 0 {
 		workers = defaultWorkers()
 	}
-	bi := commmat.NewBuilderBanded(p, workers, tightBand)
+	bi := commmat.NewBuilder(p, workers)
 	bl := commmat.NewBuilder(p, workers)
 	type task struct {
 		level       uint
@@ -237,8 +216,8 @@ func FFIMatricesFromIndex(ix *keynav.Index, p, workers int) FFIMatrices {
 	if workers <= 0 {
 		workers = defaultWorkers()
 	}
-	bi := commmat.NewBuilderBanded(p, workers, tightBand)
-	bl := commmat.NewBuilderBanded(p, workers, ilBand)
+	bi := commmat.NewBuilder(p, workers)
+	bl := commmat.NewBuilder(p, workers)
 	type task struct {
 		level       uint
 		lo, hi      int
