@@ -111,7 +111,6 @@ func run() int {
 		trials    = flag.Int("trials", 0, "override trial count")
 		seed      = flag.Uint64("seed", 0, "override random seed")
 		workers   = flag.Int("workers", 0, "cap sweep-cell and inner accumulation worker goroutines (0 = GOMAXPROCS)")
-		nfiEngine = flag.String("nfi-engine", "", "neighbor engine for the accumulation passes: tree (default; rank table + quadtree oracle), keys (key-space index), or auto (keys once the dense rank table would exceed its budget); results are bit-identical")
 		distrib   = flag.String("dist", "", "override the particle distribution (uniform, normal, exponential)")
 		incrMode  = flag.String("incr-mode", "", "maintenance mechanism for incremental experiments: incr (default; delta repair) or rebuild (from scratch each tick); results are bit-identical")
 		cacheDir  = flag.String("cache", "", "read/write results in this content-addressed cache directory (shared with acdserverd -cachedir)")
@@ -126,6 +125,17 @@ func run() int {
 	)
 	flag.Parse()
 	csvDir = *csvDirF
+	// Zero means "keep the preset", so a negative override would
+	// otherwise be silently dropped.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"particles", *particles}, {"radius", *radius}, {"trials", *trials}, {"workers", *workers}} {
+		if f.v < 0 {
+			fmt.Fprintf(os.Stderr, "acdbench: -%s must not be negative (got %d)\n", f.name, f.v)
+			return 2
+		}
+	}
 
 	level := slog.LevelInfo
 	if *verbose {
@@ -224,9 +234,6 @@ func run() int {
 		}
 		if *workers > 0 {
 			p.Workers = *workers
-		}
-		if *nfiEngine != "" {
-			p.NFIEngine = *nfiEngine
 		}
 		if *distrib != "" {
 			p.Distribution = *distrib

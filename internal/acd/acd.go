@@ -13,6 +13,7 @@ package acd
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -121,135 +122,47 @@ type Assignment struct {
 	Ranks []int32
 	// side caches the grid side.
 	side uint32
-	// The cell->rank table maps an occupied cell to the rank owning its
-	// particle: dense array when the grid is small enough, sparse map
-	// otherwise. It is built lazily on the first RankAt — the key-space
-	// engine (keynav) resolves ranks on the sorted key array and never
-	// pays for it. tableReady publishes the build; tableMu serializes
-	// it.
-	tableMu    sync.Mutex
-	tableReady atomic.Bool
-	denseRank  []int32
-	sparseRank map[uint64]int32
-	// keyIx caches the key-space occupancy index shared by the NFI and
-	// FFI passes of the keys engine; built on first KeyIndex call.
+	// keyIx caches the key-space occupancy index (internal/keynav)
+	// shared by RankAt and the near- and far-field passes; built on
+	// first KeyIndex call. ixMu serializes the build and Release.
 	ixMu  sync.Mutex
-	keyIx *keynav.Index
-	// released marks the assignment dead: lazy structures are no longer
-	// built and RankAt reports every cell empty.
+	keyIx atomic.Pointer[keynav.Index]
+	// released marks the assignment dead: the index is no longer built
+	// and RankAt reports every cell empty.
 	released atomic.Bool
 }
 
-// denseLimit is the largest cell count for which the cell->rank lookup
-// uses a dense array (4096x4096 = 64 MiB of int32). The cutover is a
-// memory bound, not a speed one: BenchmarkRankAt has the dense load at
-// ~3.7 ns/op against ~21 ns/op for the sparse map on random probes, so
-// the array wins wherever it fits. (keynav's key search is ~34 ns/op
-// on the same random probes — its advantage is elsewhere: sequential
-// sweeps hit the rankNear fast path and the table build is skipped
-// entirely.) It is a var so tests can force the sparse path at small
-// orders.
-var denseLimit = uint64(1) << 24
-
-// DenseRankTableFits reports whether an order-k grid's cell->rank
-// lookup fits the dense-array budget (denseLimit cells). It is the
-// occupancy heuristic behind keynav.EngineAuto: where the dense table
-// fits, the tree engine's probes are cheapest; past the budget the
-// tree path degrades to sparse map probes and the key-space engine
-// wins.
-func DenseRankTableFits(order uint) bool { return geom.Cells(order) <= denseLimit }
-
-// denseRankPool recycles dense rank tables between assignments.
-// Parallel sweep cells each build a full 4^order table; without
-// pooling, the allocator (and the -1 refill) dominates small-trial
-// sweeps. Tables are returned by Assignment.Release.
-var denseRankPool = sync.Pool{New: func() any { return new([]int32) }}
-
-// newDenseRank returns a cells-long table filled with -1, reusing a
-// pooled allocation when one fits.
-func newDenseRank(cells uint64) []int32 {
-	p := denseRankPool.Get().(*[]int32)
-	t := *p
-	*p = nil
-	denseRankPool.Put(p)
-	if uint64(cap(t)) < cells {
-		t = make([]int32, cells)
-	}
-	t = t[:cells]
-	// Doubling copy fills with -1 in O(n) copies of geometric size.
-	t[0] = -1
-	for i := 1; i < len(t); i *= 2 {
-		copy(t[i:], t[:i])
-	}
-	return t
-}
-
-// Release returns the assignment's pooled scratch (the dense rank
-// table and the key-space index) for reuse. The assignment must not be
-// used afterwards: RankAt reports every cell empty. Only call it from
-// owners that know the assignment is dead — the sweep scheduler's
-// cells do; ordinary callers can rely on the garbage collector
-// instead.
+// Release returns the assignment's pooled key-space index for reuse.
+// The assignment must not be used afterwards: RankAt reports every
+// cell empty. Only call it from owners that know the assignment is
+// dead — the sweep scheduler's cells do; ordinary callers can rely on
+// the garbage collector instead.
 func (a *Assignment) Release() {
 	if a == nil {
 		return
 	}
-	a.released.Store(true)
-	a.tableMu.Lock()
-	if t := a.denseRank; t != nil {
-		a.denseRank = nil
-		p := denseRankPool.Get().(*[]int32)
-		*p = t
-		denseRankPool.Put(p)
-	}
-	a.sparseRank = nil
-	a.tableReady.Store(true)
-	a.tableMu.Unlock()
 	a.ixMu.Lock()
-	if a.keyIx != nil {
-		a.keyIx.Release()
-		a.keyIx = nil
-	}
-	a.ixMu.Unlock()
-}
-
-// ensureTable builds the cell->rank table from the particle arrays on
-// first use.
-func (a *Assignment) ensureTable() {
-	a.tableMu.Lock()
-	defer a.tableMu.Unlock()
-	if a.tableReady.Load() {
-		return
-	}
-	if a.released.Load() {
-		a.tableReady.Store(true)
-		return
-	}
-	if geom.Cells(a.Order) <= denseLimit {
-		a.denseRank = newDenseRank(geom.Cells(a.Order))
-		for i, pt := range a.Particles {
-			a.denseRank[geom.CellID(pt, a.side)] = a.Ranks[i]
-		}
-	} else {
-		a.sparseRank = make(map[uint64]int32, len(a.Particles))
-		for i, pt := range a.Particles {
-			a.sparseRank[geom.CellID(pt, a.side)] = a.Ranks[i]
-		}
-	}
-	a.tableReady.Store(true)
+	defer a.ixMu.Unlock()
+	a.released.Store(true)
+	a.keyIx.Swap(nil).Release()
 }
 
 // KeyIndex returns the assignment's key-space occupancy index
 // (internal/keynav), building it on first call. The index is shared:
-// the keys engine's near- and far-field passes over one assignment use
+// RankAt and the near- and far-field passes over one assignment use
 // the same build. Returns nil after Release.
 func (a *Assignment) KeyIndex() *keynav.Index {
+	if ix := a.keyIx.Load(); ix != nil {
+		return ix
+	}
 	a.ixMu.Lock()
 	defer a.ixMu.Unlock()
-	if a.keyIx == nil && !a.released.Load() {
-		a.keyIx = keynav.Build(a.Order, a.Particles, a.Ranks)
+	ix := a.keyIx.Load()
+	if ix == nil && !a.released.Load() {
+		ix = keynav.Build(a.Order, a.Particles, a.Ranks)
+		a.keyIx.Store(ix)
 	}
-	return a.keyIx
+	return ix
 }
 
 // Assign orders the given particles along the particle-order curve,
@@ -278,9 +191,7 @@ func Assign(particles []geom.Point, curve sfc.Curve, order uint, p int) (*Assign
 		side:      geom.Side(order),
 	}
 	n := len(particles)
-	// The cell->rank table is NOT built here: duplicate detection rides
-	// on the sorted keys, and the keys engine never consults the table,
-	// so it is deferred to the first RankAt (see ensureTable).
+	// Duplicate detection rides on the sorted curve keys.
 	prevIdx := uint64(0)
 	for i, src := range perm {
 		pt := particles[src]
@@ -321,27 +232,19 @@ func FromOwners(particles []geom.Point, ranks []int32, order uint, p int) (*Assi
 		Ranks:     append([]int32(nil), ranks...),
 		side:      geom.Side(order),
 	}
-	// Unlike Assign, the table is built eagerly: duplicate detection
-	// here has no sorted key stream to lean on, so it probes the table
-	// as it fills.
-	if geom.Cells(order) <= denseLimit {
-		a.denseRank = newDenseRank(geom.Cells(order))
-	} else {
-		a.sparseRank = make(map[uint64]int32, len(particles))
-	}
-	a.tableReady.Store(true)
+	cells := make([]uint64, len(particles))
 	for i, pt := range particles {
 		if ranks[i] < 0 || int(ranks[i]) >= p {
 			return nil, fmt.Errorf("acd: rank %d out of range [0,%d)", ranks[i], p)
 		}
-		id := geom.CellID(pt, a.side)
-		if a.RankAt(pt) != -1 {
-			return nil, fmt.Errorf("acd: duplicate particle cell %v", pt)
-		}
-		if a.denseRank != nil {
-			a.denseRank[id] = ranks[i]
-		} else {
-			a.sparseRank[id] = ranks[i]
+		cells[i] = geom.CellID(pt, a.side)
+	}
+	// Unlike Assign there is no curve-sorted key stream, so duplicates
+	// are found by sorting the cell ids.
+	slices.Sort(cells)
+	for i := 1; i < len(cells); i++ {
+		if cells[i] == cells[i-1] {
+			return nil, fmt.Errorf("acd: duplicate particle cell %v", geom.PointOfCellID(cells[i], a.side))
 		}
 	}
 	return a, nil
@@ -354,25 +257,15 @@ func (a *Assignment) Side() uint32 { return a.side }
 func (a *Assignment) N() int { return len(a.Particles) }
 
 // RankAt returns the rank owning the particle in the given cell, or -1
-// if the cell is empty. The first call builds the lookup table.
+// if the cell is empty or the assignment was released. It answers from
+// the key-space index, building it on first use.
 func (a *Assignment) RankAt(p geom.Point) int32 {
-	if !a.tableReady.Load() {
-		a.ensureTable()
+	ix := a.KeyIndex()
+	if ix == nil {
+		return -1
 	}
-	id := geom.CellID(p, a.side)
-	if a.denseRank != nil {
-		return a.denseRank[id]
-	}
-	if r, ok := a.sparseRank[id]; ok {
-		return r
-	}
-	return -1
+	return ix.RankAt(p)
 }
-
-// TableBuilt reports whether the cell->rank table has been
-// materialized. Diagnostic: the keys engine is expected to leave it
-// unbuilt.
-func (a *Assignment) TableBuilt() bool { return a.tableReady.Load() }
 
 // ChunkBounds returns the half-open range of ordered particle indices
 // owned by rank r.

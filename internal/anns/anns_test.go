@@ -155,8 +155,8 @@ func TestANNSEqualsNFIOnBus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bus := topology.NewBus(len(pts))
-		nfi := fmmmodel.NFI(a, bus, fmmmodel.NFIOptions{Radius: 1, Metric: geom.MetricManhattan})
+		bus := []topology.Topology{topology.NewBus(len(pts))}
+		nfi := fmmmodel.NFIMulti(a, bus, fmmmodel.NFIOptions{Radius: 1, Metric: geom.MetricManhattan})[0]
 		anns := Stretch(c, order, Options{Radius: 1})
 		if math.Abs(nfi.ACD()-anns.Mean) > 1e-9 {
 			t.Errorf("%s: NFI-on-bus ACD %f != ANNS %f", c.Name(), nfi.ACD(), anns.Mean)

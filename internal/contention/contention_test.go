@@ -1,11 +1,14 @@
 package contention
 
 import (
+	"maps"
 	"testing"
 
 	"sfcacd/internal/acd"
 	"sfcacd/internal/dist"
 	"sfcacd/internal/fmmmodel"
+	"sfcacd/internal/geom"
+	"sfcacd/internal/oracle"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/topology"
@@ -131,6 +134,17 @@ func TestHilbertPlacementReducesNFICongestion(t *testing.T) {
 	}
 }
 
+// orderedEvents counts an event stream by ordered (src, dst) pair.
+func orderedEvents(visit func(fn func(src, dst int32))) map[[2]int32]int {
+	m := map[[2]int32]int{}
+	visit(func(src, dst int32) { m[[2]int32{src, dst}]++ })
+	return m
+}
+
+// TestVisitNFIPairsMatchesAccumulator: the near-field visitor emits
+// exactly the oracle's ordered event multiset (direction matters: the
+// router and the execution model charge the source), and its distances
+// sum to the model's accumulator.
 func TestVisitNFIPairsMatchesAccumulator(t *testing.T) {
 	const order = 5
 	r := rng.New(2)
@@ -143,17 +157,26 @@ func TestVisitNFIPairsMatchesAccumulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	topo := topology.NewTorus(2, sfc.Hilbert)
-	var sum, count uint64
-	fmmmodel.VisitNFIPairs(a, fmmmodel.NFIOptions{Radius: 2}, func(src, dst int32) {
-		sum += uint64(topo.Distance(int(src), int(dst)))
-		count++
-	})
-	want := fmmmodel.NFI(a, topo, fmmmodel.NFIOptions{Radius: 2})
-	if sum != want.Sum || count != want.Count {
-		t.Fatalf("visitor sum=%d count=%d, accumulator %+v", sum, count, want)
+	for _, m := range []geom.Metric{geom.MetricChebyshev, geom.MetricManhattan} {
+		opts := fmmmodel.NFIOptions{Radius: 2, Metric: m}
+		got := orderedEvents(func(fn func(src, dst int32)) { fmmmodel.VisitNFIPairs(a, opts, fn) })
+		want := orderedEvents(func(fn func(src, dst int32)) { oracle.VisitNFIPairs(a, 2, m, fn) })
+		if !maps.Equal(got, want) {
+			t.Fatalf("%s: near-field event multiset differs from the oracle", m)
+		}
+		var sum, count uint64
+		fmmmodel.VisitNFIPairs(a, opts, func(src, dst int32) {
+			sum += uint64(topo.Distance(int(src), int(dst)))
+			count++
+		})
+		acc := fmmmodel.NFIMulti(a, []topology.Topology{topo}, opts)[0]
+		if sum != acc.Sum || count != acc.Count {
+			t.Fatalf("%s: visitor sum=%d count=%d, accumulator %+v", m, sum, count, acc)
+		}
 	}
 }
 
+// TestVisitFFIPairsMatchesAccumulator is the far-field counterpart.
 func TestVisitFFIPairsMatchesAccumulator(t *testing.T) {
 	const order = 5
 	r := rng.New(3)
@@ -165,14 +188,19 @@ func TestVisitFFIPairsMatchesAccumulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := orderedEvents(func(fn func(src, dst int32)) { fmmmodel.VisitFFIPairs(a, fn) })
+	want := orderedEvents(func(fn func(src, dst int32)) { oracle.VisitFFIPairs(a, fn) })
+	if !maps.Equal(got, want) {
+		t.Fatal("far-field event multiset differs from the oracle")
+	}
 	topo := topology.NewMesh(2, sfc.Morton)
 	var sum, count uint64
 	fmmmodel.VisitFFIPairs(a, func(src, dst int32) {
 		sum += uint64(topo.Distance(int(src), int(dst)))
 		count++
 	})
-	want := fmmmodel.FFI(a, topo, fmmmodel.FFIOptions{}).Total()
-	if sum != want.Sum || count != want.Count {
-		t.Fatalf("visitor sum=%d count=%d, accumulator %+v", sum, count, want)
+	acc := fmmmodel.FFIMulti(a, []topology.Topology{topo}, fmmmodel.FFIOptions{})[0].Total()
+	if sum != acc.Sum || count != acc.Count {
+		t.Fatalf("visitor sum=%d count=%d, accumulator %+v", sum, count, acc)
 	}
 }

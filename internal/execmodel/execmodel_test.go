@@ -2,12 +2,14 @@ package execmodel
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"sfcacd/internal/acd"
 	"sfcacd/internal/dist"
 	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/geom"
+	"sfcacd/internal/oracle"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/topology"
@@ -55,9 +57,25 @@ func TestCostParamsValidation(t *testing.T) {
 	}
 }
 
+// oracleTally builds the expected tally from an oracle event stream,
+// charging every event to its source as the collectors do.
+func oracleTally(p int, topo topology.Topology, visit func(fn func(src, dst int32))) *Tally {
+	t := NewTally(p)
+	visit(func(src, dst int32) {
+		t.AddWork(src, 1)
+		t.Message(src, topo.Distance(int(src), int(dst)))
+	})
+	return t
+}
+
+func sameTally(a, b *Tally) bool {
+	return slices.Equal(a.Sends, b.Sends) && slices.Equal(a.Hops, b.Hops) && slices.Equal(a.Work, b.Work)
+}
+
 func TestCollectNFIConsistentWithACD(t *testing.T) {
-	// Total hops in the tally equal the ACD accumulator's Sum; work
-	// units equal its Count.
+	// Per-rank sends, hops and work equal the oracle's event stream
+	// charged to its sources; total hops equal the ACD accumulator's
+	// Sum and work units its Count.
 	const order = 6
 	pts, err := dist.SampleUnique(dist.Uniform, rng.New(1), order, 400)
 	if err != nil {
@@ -70,7 +88,13 @@ func TestCollectNFIConsistentWithACD(t *testing.T) {
 	topo := topology.NewTorus(3, sfc.Hilbert)
 	opts := fmmmodel.NFIOptions{Radius: 1, Metric: geom.MetricChebyshev}
 	tally := CollectNFI(a, topo, opts)
-	acc := fmmmodel.NFI(a, topo, opts)
+	want := oracleTally(topo.P(), topo, func(fn func(src, dst int32)) {
+		oracle.VisitNFIPairs(a, 1, geom.MetricChebyshev, fn)
+	})
+	if !sameTally(tally, want) {
+		t.Fatal("near-field tally differs from the oracle's per-rank tally")
+	}
+	acc := fmmmodel.NFIMulti(a, []topology.Topology{topo}, opts)[0]
 	var hops, work uint64
 	for p := range tally.Hops {
 		hops += tally.Hops[p]
@@ -96,7 +120,13 @@ func TestCollectFFIConsistentWithACD(t *testing.T) {
 	}
 	topo := topology.NewTorus(2, sfc.Morton)
 	tally := CollectFFI(a, topo)
-	acc := fmmmodel.FFI(a, topo, fmmmodel.FFIOptions{}).Total()
+	want := oracleTally(topo.P(), topo, func(fn func(src, dst int32)) {
+		oracle.VisitFFIPairs(a, fn)
+	})
+	if !sameTally(tally, want) {
+		t.Fatal("far-field tally differs from the oracle's per-rank tally")
+	}
+	acc := fmmmodel.FFIMulti(a, []topology.Topology{topo}, fmmmodel.FFIOptions{})[0].Total()
 	var hops uint64
 	for p := range tally.Hops {
 		hops += tally.Hops[p]
@@ -128,7 +158,7 @@ func TestACDOrderingPredictsMakespan(t *testing.T) {
 		}
 		topo := topology.NewTorus(procOrder, curve)
 		opts := fmmmodel.NFIOptions{Radius: 1, Metric: geom.MetricChebyshev}
-		acc := fmmmodel.NFI(a, topo, opts)
+		acc := fmmmodel.NFIMulti(a, []topology.Topology{topo}, opts)[0]
 		tally := CollectNFI(a, topo, opts)
 		ms, err := tally.Makespan(CostParams{Alpha: 1, Beta: 0.5, Gamma: 0})
 		if err != nil {

@@ -21,10 +21,10 @@ const ResultSchemaVersion = "sfcacd/results/v1"
 // encoding does not account for.
 //
 // Workers, NFIEngine, and IncrMode are deliberately excluded: results
-// are identical for any worker count, either neighbor engine, and
-// either incremental-maintenance mechanism (documented invariants,
-// enforced by the differential tests), so runs that differ only in
-// those knobs share one cache entry. Distribution is included — it
+// are identical for any worker count and either incremental-maintenance
+// mechanism (documented invariants, enforced by the differential
+// tests), and NFIEngine is a retired field that is decoded and ignored,
+// so runs that differ only in those knobs share one cache entry. Distribution is included — it
 // changes the sampled particles — but only when non-uniform, so every
 // key minted before the knob existed stays valid; aliases normalize
 // through dist.ByName first, so "exp" and "exponential" share a key.

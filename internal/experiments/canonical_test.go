@@ -48,13 +48,12 @@ func TestCanonicalKeyIgnoresWorkers(t *testing.T) {
 }
 
 // TestCanonicalKeyIgnoresEngine asserts the same invariant for the
-// neighbor engine: every engine produces bit-identical results (pinned
-// by TestDifferentialKeysEngine; auto only picks between them
-// per-regime), so a keys- or auto-engine run must hit cache entries
-// written by tree-engine runs and vice versa.
+// retired NFIEngine field: it is decoded and ignored, so requests that
+// still carry any old spelling must hit the cache entries of requests
+// without it.
 func TestCanonicalKeyIgnoresEngine(t *testing.T) {
 	a := Table12Paper
-	for _, engine := range []string{"keys", "auto"} {
+	for _, engine := range []string{"tree", "keys", "auto"} {
 		b := Table12Paper
 		b.NFIEngine = engine
 		if a.CanonicalKey() != b.CanonicalKey() {
@@ -86,7 +85,8 @@ func TestCanonicalKeyCoversParams(t *testing.T) {
 	// 10 = Particles, Order, ProcOrder, Radius, Trials, Seed,
 	// Distribution (non-uniform only) in the key, plus Workers,
 	// NFIEngine, and IncrMode (excluded: results are invariant to
-	// worker count, neighbor engine, and maintenance mechanism).
+	// worker count and maintenance mechanism, and NFIEngine is a
+	// retired field that is ignored).
 	const known = 10
 	if got := reflect.TypeOf(Params{}).NumField(); got != known {
 		t.Fatalf("Params has %d fields, CanonicalKey audited %d; "+

@@ -89,7 +89,7 @@ func RunExecModel(ctx context.Context, p Params) (ExecModelResult, error) {
 				maxSends = s
 			}
 		}
-		o := cellOut{acd: fmmmodel.NFI(a, topo, opts).ACD(), makespan: ms, maxSends: float64(maxSends)}
+		o := cellOut{acd: fmmmodel.NFIMulti(a, []topology.Topology{topo}, opts)[0].ACD(), makespan: ms, maxSends: float64(maxSends)}
 		a.Release()
 		outs[cell] = o
 		return nil

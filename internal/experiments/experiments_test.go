@@ -50,6 +50,28 @@ func TestParamsValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("huge order accepted")
 	}
+	bad = testParams
+	bad.ProcOrder = bad.Order + 1
+	if bad.Validate() == nil {
+		t.Error("processor order above the spatial order accepted")
+	}
+	ok := testParams
+	ok.ProcOrder = ok.Order
+	if err := ok.Validate(); err != nil {
+		t.Errorf("processor order equal to the spatial order rejected: %v", err)
+	}
+	for _, engine := range []string{"", "tree", "keys", "auto"} {
+		ok := testParams
+		ok.NFIEngine = engine
+		if err := ok.Validate(); err != nil {
+			t.Errorf("legacy NFIEngine %q rejected: %v", engine, err)
+		}
+	}
+	bad = testParams
+	bad.NFIEngine = "quadtree"
+	if bad.Validate() == nil {
+		t.Error("unknown NFIEngine accepted")
+	}
 }
 
 func TestParamsScale(t *testing.T) {

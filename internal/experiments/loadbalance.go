@@ -101,11 +101,11 @@ func RunLoadBalance(ctx context.Context, p Params) (LoadBalanceResult, error) {
 		if err != nil {
 			return err
 		}
-		torus := topology.NewTorus(p.ProcOrder, curve)
+		torus := []topology.Topology{topology.NewTorus(p.ProcOrder, curve)}
 		opts := fmmmodel.NFIOptions{Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner}
 		o := cellOut{
-			countACD: fmmmodel.NFI(count, torus, opts).ACD(),
-			workACD:  fmmmodel.NFI(weighted, torus, opts).ACD(),
+			countACD: fmmmodel.NFIMulti(count, torus, opts)[0].ACD(),
+			workACD:  fmmmodel.NFIMulti(weighted, torus, opts)[0].ACD(),
 			countImb: partition.Imbalance(partition.ChunkWeights(work, count.Ranks, p.P())),
 			workImb:  partition.Imbalance(partition.ChunkWeights(work, ranks, p.P())),
 		}

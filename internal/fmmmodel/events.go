@@ -1,50 +1,43 @@
 package fmmmodel
 
-import (
-	"sfcacd/internal/acd"
-	"sfcacd/internal/geom"
-	"sfcacd/internal/quadtree"
-)
+import "sfcacd/internal/acd"
 
 // This file exposes the raw communication event streams behind the NFI
 // and FFI accumulators, for consumers that need more than hop counts —
 // notably the contention extension, which routes every event over
-// physical links. Visitors are serial and deterministic.
+// physical links. Both visitors walk the assignment's key-space index
+// serially. Each symmetric relation is enumerated once per unordered
+// pair and emitted in both directions, so the multiset of ordered
+// events is exact but their order is not the per-particle order.
 
 // VisitNFIPairs calls fn for every ordered near-field communication
-// (src and dst processor ranks), in particle order. Pairs on the same
-// processor are included (src == dst), mirroring the accumulator.
+// (src and dst processor ranks). Pairs on the same processor are
+// included (src == dst), mirroring the accumulator.
 func VisitNFIPairs(a *acd.Assignment, opts NFIOptions, fn func(src, dst int32)) {
 	opts.normalize()
-	for i := 0; i < a.N(); i++ {
-		p := a.Particles[i]
-		mine := a.Ranks[i]
-		geom.VisitNeighborhood(p, opts.Radius, opts.Metric, a.Side(), func(q geom.Point) {
-			if r := a.RankAt(q); r >= 0 {
-				fn(mine, r)
-			}
-		})
-	}
+	ix := a.KeyIndex()
+	ix.VisitUpperNeighborPairs(0, ix.N(), opts.Radius, opts.Metric, func(mine, r int32) {
+		fn(mine, r)
+		fn(r, mine)
+	})
 }
 
 // VisitFFIPairs calls fn for every far-field communication: once per
 // interpolation link (child representative -> parent representative),
 // once per anterpolation link (the reverse), and once per
-// interaction-list exchange.
+// interaction-list exchange in each direction.
 func VisitFFIPairs(a *acd.Assignment, fn func(src, dst int32)) {
-	tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
-	for l := tree.Order; l >= 1; l-- {
-		tree.VisitCells(l, func(x, y uint32, rep int32) {
-			parent := tree.Rep(l-1, x/2, y/2)
+	ix := a.KeyIndex()
+	for l := ix.Order; l >= 1; l-- {
+		ix.VisitParentLinks(l, 0, ix.LevelLen(l), func(parent, rep int32) {
 			fn(rep, parent) // interpolation
 			fn(parent, rep) // anterpolation
 		})
 	}
-	for l := uint(2); l <= tree.Order; l++ {
-		tree.VisitCells(l, func(x, y uint32, rep int32) {
-			tree.InteractionList(l, x, y, func(_, _ uint32, other int32) {
-				fn(rep, other)
-			})
+	for l := uint(2); l <= ix.Order; l++ {
+		ix.VisitUpperILPairs(l, 0, ix.LevelLen(l-1), func(rep, other int32) {
+			fn(rep, other)
+			fn(other, rep)
 		})
 	}
 }

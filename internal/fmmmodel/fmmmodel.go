@@ -14,18 +14,19 @@
 //
 // The model is contention-unaware: distances are shortest-path hop
 // counts regardless of concurrent traffic (§IV step 6).
+//
+// There is one evaluation path. The assignment's key-space index
+// (internal/keynav) enumerates both event streams, which aggregate into
+// communication matrices (internal/commmat) that are contracted against
+// any number of topologies. The naive per-event definitions the tests
+// compare against live in internal/oracle.
 package fmmmodel
 
 import (
 	"runtime"
-	"sync"
 
 	"sfcacd/internal/acd"
 	"sfcacd/internal/geom"
-	"sfcacd/internal/keynav"
-	"sfcacd/internal/obs"
-	"sfcacd/internal/quadtree"
-	"sfcacd/internal/topology"
 )
 
 // NFIOptions configures the near-field model.
@@ -38,13 +39,6 @@ type NFIOptions struct {
 	Metric geom.Metric
 	// Workers caps the worker goroutines; 0 means GOMAXPROCS.
 	Workers int
-	// Engine selects the neighbor-resolution machinery on the matrix
-	// path (NFIMatrix/NFIMulti): the assignment's rank table (tree,
-	// the default and oracle) or the key-space index (keys). Results
-	// are bit-identical; only the cost differs. The direct NFI path
-	// always uses the rank table — it is the oracle the engines are
-	// tested against.
-	Engine keynav.Engine
 }
 
 func (o *NFIOptions) normalize() {
@@ -57,66 +51,6 @@ func (o *NFIOptions) normalize() {
 }
 
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// resolveEngine pins keynav.EngineAuto to a concrete engine for a grid
-// of the given order: the tree path (rank table + quadtree) where the
-// dense rank table fits its memory budget, the key-space engine where
-// the table would have to fall back to sparse probing. Concrete
-// engines pass through unchanged, and results are bit-identical either
-// way — the heuristic only moves cost.
-func resolveEngine(e keynav.Engine, order uint) keynav.Engine {
-	if e != keynav.EngineAuto {
-		return e
-	}
-	if acd.DenseRankTableFits(order) {
-		return keynav.EngineTree
-	}
-	return keynav.EngineKeys
-}
-
-// NFI computes the ACD accumulator for all near-field interactions of
-// the assignment on the given topology: §IV steps 5–7. Every ordered
-// particle pair (x, y) with d(x, y) <= r contributes one communication
-// event of the owning processors' hop distance (possibly zero).
-func NFI(a *acd.Assignment, topo topology.Topology, opts NFIOptions) acd.Accumulator {
-	defer obs.StartSpan("accumulation.nfi").End()
-	opts.normalize()
-	n := a.N()
-	workers := opts.Workers
-	if workers > n {
-		workers = n
-	}
-	results := make(chan acd.Accumulator, workers)
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		go func(lo, hi int) {
-			var local acd.Accumulator
-			for i := lo; i < hi; i++ {
-				p := a.Particles[i]
-				mine := int(a.Ranks[i])
-				geom.VisitNeighborhood(p, opts.Radius, opts.Metric, a.Side(), func(q geom.Point) {
-					if r := a.RankAt(q); r >= 0 {
-						local.Add(topo.Distance(mine, int(r)))
-					}
-				})
-			}
-			results <- local
-		}(lo, hi)
-	}
-	var total acd.Accumulator
-	for w := 0; w < workers; w++ {
-		total.Merge(<-results)
-	}
-	// Publish in bulk: one Distance call per recorded event.
-	total.Record()
-	topology.CountDistanceQueries(total.Count)
-	return total
-}
 
 // FFIResult breaks the far-field ACD into the paper's three
 // communication types.
@@ -143,21 +77,10 @@ func (r FFIResult) Total() acd.Accumulator {
 	return t
 }
 
-// record publishes the three final accumulators and the Distance-call
-// volume. Interpolation and anterpolation share one Distance call per
-// parent-child link, so only the interpolation count contributes.
+// record publishes the three final accumulators. The distance-query
+// counter is left alone: the analytic queries are accounted for by the
+// contraction and the distance-table builds themselves.
 func (r FFIResult) record() {
-	r.Interpolation.Record()
-	r.Anterpolation.Record()
-	r.InteractionList.Record()
-	topology.CountDistanceQueries(r.Interpolation.Count + r.InteractionList.Count)
-}
-
-// recordMatrixPath publishes the three final accumulators without
-// touching the distance-query counter: on the matrix path the (far
-// fewer) analytic queries are accounted for by the contraction and the
-// distance-table builds themselves.
-func (r FFIResult) recordMatrixPath() {
 	r.Interpolation.Record()
 	r.Anterpolation.Record()
 	r.InteractionList.Record()
@@ -167,91 +90,4 @@ func (r FFIResult) recordMatrixPath() {
 type FFIOptions struct {
 	// Workers caps the worker goroutines; 0 means GOMAXPROCS.
 	Workers int
-	// Engine selects the far-field structure on the matrix path
-	// (FFIMulti): the dense representative quadtree (tree, the default
-	// and oracle) or the key-space level slabs (keys). See
-	// NFIOptions.Engine.
-	Engine keynav.Engine
-}
-
-// FFI computes the far-field ACD of the assignment on the given
-// topology: §IV far-field steps 5–10.
-func FFI(a *acd.Assignment, topo topology.Topology, opts FFIOptions) FFIResult {
-	tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
-	return FFIFromTree(tree, topo, opts)
-}
-
-// FFIFromTree computes the far-field ACD from a prebuilt representative
-// tree (letting callers amortize tree construction across topologies).
-func FFIFromTree(tree *quadtree.RankTree, topo topology.Topology, opts FFIOptions) FFIResult {
-	defer obs.StartSpan("accumulation.ffi").End()
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	var res FFIResult
-	// Interpolation and anterpolation: parent-child links at every
-	// level. The work is light (one pass per level), so it stays
-	// serial and deterministic.
-	for l := tree.Order; l >= 1; l-- {
-		tree.VisitCells(l, func(x, y uint32, rep int32) {
-			parentRep := tree.Rep(l-1, x/2, y/2)
-			d := topo.Distance(int(rep), int(parentRep))
-			res.Interpolation.Add(d)
-			res.Anterpolation.Add(d)
-		})
-	}
-	// Interaction lists, parallelized over row stripes within each
-	// level.
-	for l := uint(2); l <= tree.Order; l++ {
-		res.InteractionList.Merge(interactionLevel(tree, topo, l, opts.Workers))
-	}
-	res.record()
-	return res
-}
-
-// interactionLevel sums interaction-list communications at one level.
-func interactionLevel(tree *quadtree.RankTree, topo topology.Topology, level uint, workers int) acd.Accumulator {
-	side := geom.Side(level)
-	if workers > int(side) {
-		workers = int(side)
-	}
-	stripe := (int(side) + workers - 1) / workers
-	var wg sync.WaitGroup
-	results := make(chan acd.Accumulator, workers)
-	for w := 0; w < workers; w++ {
-		yLo := uint32(w * stripe)
-		yHi := yLo + uint32(stripe)
-		if yHi > side {
-			yHi = side
-		}
-		if yLo >= yHi {
-			continue
-		}
-		wg.Add(1)
-		go func(yLo, yHi uint32) {
-			defer wg.Done()
-			var local acd.Accumulator
-			for y := yLo; y < yHi; y++ {
-				for x := uint32(0); x < side; x++ {
-					rep := tree.Rep(level, x, y)
-					if rep == -1 {
-						continue
-					}
-					tree.InteractionList(level, x, y, func(_, _ uint32, other int32) {
-						local.Add(topo.Distance(int(rep), int(other)))
-					})
-				}
-			}
-			results <- local
-		}(yLo, yHi)
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-	var total acd.Accumulator
-	for r := range results {
-		total.Merge(r)
-	}
-	return total
 }

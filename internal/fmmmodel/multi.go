@@ -2,9 +2,7 @@ package fmmmodel
 
 import (
 	"sfcacd/internal/acd"
-	"sfcacd/internal/keynav"
 	"sfcacd/internal/obs"
-	"sfcacd/internal/quadtree"
 	"sfcacd/internal/topology"
 )
 
@@ -17,13 +15,13 @@ import (
 // then a contraction — one distance lookup per distinct rank pair
 // instead of one interface call per event — turning the sweep from
 // O(events x topologies) into O(events + distinctPairs x topologies).
-// The single-topology NFI/FFI paths stay on the direct per-event
-// accumulation and serve as the differential-testing oracle.
+// A single topology is the one-element case of the same path.
 
 // NFIMulti computes the near-field accumulator of the assignment under
-// each of the given topologies from one shared communication matrix.
-// The results are identical (exact Sum/Count/Zeros) to running NFI per
-// topology.
+// each of the given topologies from one shared communication matrix:
+// §IV steps 5–7. Every ordered particle pair (x, y) with d(x, y) <= r
+// contributes one communication event of the owning processors' hop
+// distance (possibly zero).
 func NFIMulti(a *acd.Assignment, topos []topology.Topology, opts NFIOptions) []acd.Accumulator {
 	defer obs.StartSpan("accumulation.nfi").End()
 	opts.normalize()
@@ -36,42 +34,19 @@ func NFIMulti(a *acd.Assignment, topos []topology.Topology, opts NFIOptions) []a
 }
 
 // FFIMulti computes the far-field breakdown of the assignment under
-// each of the given topologies, sharing one aggregation of the
-// interaction structure. opts.Engine picks the structure: the dense
-// representative quadtree (built and released here) or the
-// assignment's key-space occupancy index.
+// each of the given topologies (§IV far-field steps 5–10), sharing one
+// aggregation of the interaction structure from the assignment's
+// key-space occupancy index. The far-field matrices stay separate per
+// communication type, so FFIResult keeps its per-type breakdown.
 func FFIMulti(a *acd.Assignment, topos []topology.Topology, opts FFIOptions) []FFIResult {
-	opts.Engine = resolveEngine(opts.Engine, a.Order)
-	if opts.Engine == keynav.EngineKeys {
-		defer obs.StartSpan("accumulation.ffi").End()
-		if opts.Workers <= 0 {
-			opts.Workers = defaultWorkers()
-		}
-		if len(topos) == 0 {
-			return nil
-		}
-		ms := FFIMatricesFromIndex(a.KeyIndex(), topos[0].P(), opts.Workers)
-		return ms.ContractAll(topos, opts.Workers)
-	}
-	tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
-	defer tree.Release()
-	return FFIMultiFromTree(tree, topos, opts)
-}
-
-// FFIMultiFromTree is FFIMulti over a prebuilt representative tree. The
-// far-field matrices are kept separate per communication type, so the
-// per-type breakdown of FFIResult matches the direct FFIFromTree path
-// exactly; the anterpolation accumulator reuses the interpolation
-// contraction because hop distance is symmetric.
-func FFIMultiFromTree(tree *quadtree.RankTree, topos []topology.Topology, opts FFIOptions) []FFIResult {
 	defer obs.StartSpan("accumulation.ffi").End()
 	if opts.Workers <= 0 {
 		opts.Workers = defaultWorkers()
 	}
 	if len(topos) == 0 {
-		return make([]FFIResult, 0)
+		return nil
 	}
-	ms := FFIMatricesFromTree(tree, topos[0].P(), opts.Workers)
+	ms := FFIMatricesFromIndex(a.KeyIndex(), topos[0].P(), opts.Workers)
 	return ms.ContractAll(topos, opts.Workers)
 }
 
@@ -103,7 +78,7 @@ func (ms FFIMatrices) ContractAll(topos []topology.Topology, workers int) []FFIR
 	}
 	span.End()
 	for t := range res {
-		res[t].recordMatrixPath()
+		res[t].record()
 	}
 	return res
 }

@@ -11,8 +11,18 @@ import (
 	"sfcacd/internal/topology"
 )
 
-// TestNFIMultiMatchesSingle: evaluating N topologies in one pass gives
-// exactly the same accumulators as N single passes.
+// nfiOne and ffiOne evaluate a single topology: the one-element case of
+// the multi-topology path, as the public sfcacd.NFI/FFI do.
+func nfiOne(a *acd.Assignment, topo topology.Topology, opts NFIOptions) acd.Accumulator {
+	return NFIMulti(a, []topology.Topology{topo}, opts)[0]
+}
+
+func ffiOne(a *acd.Assignment, topo topology.Topology, opts FFIOptions) FFIResult {
+	return FFIMulti(a, []topology.Topology{topo}, opts)[0]
+}
+
+// TestNFIMultiMatchesSingle: evaluating N topologies in one fused pass
+// gives exactly the same accumulators as N single-topology passes.
 func TestNFIMultiMatchesSingle(t *testing.T) {
 	const order = 6
 	pts, err := dist.SampleUnique(dist.Uniform, rng.New(1), order, 500)
@@ -33,7 +43,7 @@ func TestNFIMultiMatchesSingle(t *testing.T) {
 	opts := NFIOptions{Radius: 2, Metric: geom.MetricChebyshev}
 	multi := NFIMulti(a, topos, opts)
 	for i, topo := range topos {
-		single := NFI(a, topo, opts)
+		single := nfiOne(a, topo, opts)
 		if multi[i] != single {
 			t.Fatalf("topology %d (%s): multi %+v != single %+v", i, topo.Name(), multi[i], single)
 		}
@@ -58,7 +68,7 @@ func TestFFIMultiMatchesSingle(t *testing.T) {
 	}
 	multi := FFIMulti(a, topos, FFIOptions{})
 	for i, topo := range topos {
-		single := FFI(a, topo, FFIOptions{})
+		single := ffiOne(a, topo, FFIOptions{})
 		if multi[i] != single {
 			t.Fatalf("topology %d (%s): multi %+v != single %+v", i, topo.Name(), multi[i], single)
 		}
@@ -88,6 +98,36 @@ func TestMultiDeterministicAcrossWorkers(t *testing.T) {
 		for i := range topos {
 			if nfi[i] != nfiBase[i] || ffi[i] != ffiBase[i] {
 				t.Fatalf("workers=%d: results diverged", w)
+			}
+		}
+	}
+}
+
+// TestKeysEngineWorkerInvariance requires byte-identical results at
+// every worker count on all six topologies — the key-space engine must
+// preserve the sweep scheduler's determinism guarantee.
+func TestKeysEngineWorkerInvariance(t *testing.T) {
+	const order = 6
+	topos := allTopologies()
+	pts, err := dist.SampleUnique(dist.Normal, rng.New(41), order, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := acd.Assign(pts, sfc.Hilbert, order, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nfiBase := NFIMulti(a, topos, NFIOptions{Workers: 1})
+	ffiBase := FFIMulti(a, topos, FFIOptions{Workers: 1})
+	for _, workers := range []int{2, 3, 8} {
+		nfi := NFIMulti(a, topos, NFIOptions{Workers: workers})
+		ffi := FFIMulti(a, topos, FFIOptions{Workers: workers})
+		for i := range topos {
+			if nfi[i] != nfiBase[i] {
+				t.Errorf("workers=%d %s: NFI %+v != single-worker %+v", workers, topos[i].Name(), nfi[i], nfiBase[i])
+			}
+			if ffi[i] != ffiBase[i] {
+				t.Errorf("workers=%d %s: FFI %+v != single-worker %+v", workers, topos[i].Name(), ffi[i], ffiBase[i])
 			}
 		}
 	}

@@ -236,7 +236,7 @@ func TestVisitUpperNeighborhoodPartition(t *testing.T) {
 					VisitNeighborhood(p, r, m, side, func(q Point) {
 						full[[4]uint32{p.X, p.Y, q.X, q.Y}]++
 					})
-					VisitUpperNeighborhood(p, r, m, side, func(q Point) {
+					visitUpperNeighborhood(p, r, m, side, func(q Point) {
 						half[[4]uint32{p.X, p.Y, q.X, q.Y}]++
 						half[[4]uint32{q.X, q.Y, p.X, p.Y}]++
 					})
@@ -256,8 +256,8 @@ func TestVisitUpperNeighborhoodPartition(t *testing.T) {
 
 // TestVisitUpperNeighborhoodBoundary pins the reference clamping
 // semantics at the domain edges against a brute-force oracle: the
-// key-space engine's dilated-integer enumeration must clamp exactly
-// the same way, so any change here is a breaking change for it. Cases
+// key-space engine's row sweep must clamp exactly the same way, so any
+// change here is a breaking change for it. Cases
 // include cells within radius of every edge and corner, radius equal
 // to the side, and radius beyond it.
 func TestVisitUpperNeighborhoodBoundary(t *testing.T) {
@@ -283,7 +283,7 @@ func TestVisitUpperNeighborhoodBoundary(t *testing.T) {
 							}
 						}
 						got := map[Point]bool{}
-						VisitUpperNeighborhood(p, r, m, side, func(q Point) {
+						visitUpperNeighborhood(p, r, m, side, func(q Point) {
 							if got[q] {
 								t.Fatalf("side=%d %v r=%d p=%v: q=%v visited twice", side, m, r, p, q)
 							}
@@ -309,7 +309,7 @@ func TestVisitUpperNeighborhoodBoundary(t *testing.T) {
 // elsewhere relies on it.
 func TestVisitUpperNeighborhoodOrder(t *testing.T) {
 	var seq []Point
-	VisitUpperNeighborhood(Pt(1, 1), 1, MetricChebyshev, 4, func(q Point) {
+	visitUpperNeighborhood(Pt(1, 1), 1, MetricChebyshev, 4, func(q Point) {
 		seq = append(seq, q)
 	})
 	want := []Point{Pt(2, 1), Pt(0, 2), Pt(1, 2), Pt(2, 2)}
@@ -323,7 +323,7 @@ func TestVisitUpperNeighborhoodOrder(t *testing.T) {
 	}
 	// Radius >= side from the origin covers the whole remaining grid.
 	seq = seq[:0]
-	VisitUpperNeighborhood(Pt(0, 0), 4, MetricChebyshev, 2, func(q Point) {
+	visitUpperNeighborhood(Pt(0, 0), 4, MetricChebyshev, 2, func(q Point) {
 		seq = append(seq, q)
 	})
 	want = []Point{Pt(1, 0), Pt(0, 1), Pt(1, 1)}

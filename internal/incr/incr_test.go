@@ -7,6 +7,7 @@ import (
 	"sfcacd/internal/commmat"
 	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/geom"
+	"sfcacd/internal/oracle"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/topology"
@@ -237,7 +238,7 @@ func TestStateACDMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fmmmodel.NFI(a, torus, fmmmodel.NFIOptions{Radius: radius, Metric: geom.MetricChebyshev, Workers: 1})
+	want := oracle.NFI(a, torus, radius, geom.MetricChebyshev)
 	if got != want {
 		t.Fatalf("ACD accumulator: got %+v, want %+v", got, want)
 	}

@@ -3,7 +3,7 @@ package keynav
 // Flat is a standalone single-level occupancy index: sorted
 // (key, rank) pairs searched through a radix directory. It serves key
 // spaces outside Index's 2D Morton hierarchy — the 3D model feeds it
-// sfc.Morton3Key values to replace its per-neighbor map lookups.
+// sfc.Morton3Key values for its RankAt and near-field lookups.
 type Flat struct {
 	lv level
 }

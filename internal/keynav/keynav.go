@@ -2,7 +2,7 @@
 // neighbor and interaction-list queries of the FMM communication model
 // by arithmetic on a radix-sorted array of Morton keys, in the style
 // of Holzmüller's algebraic neighbor-finding, instead of probing a
-// dense rank table or walking a quadtree.
+// cell->rank table or walking a quadtree.
 //
 // The Index holds every particle as a (Morton key, rank) pair sorted
 // by key, searched through a small top-level radix directory that cuts
@@ -12,17 +12,21 @@
 // 2(Order-l), so the particles of a cell form a contiguous prefix
 // group and the cell's representative (minimum owning rank, the §III
 // convention) is the group minimum. The per-level slabs replace
-// quadtree.RankTree's dense 4^l arrays: memory is proportional to the
-// number of occupied cells, not to the grid.
+// dense 4^l per-level arrays of a quadtree: memory is proportional to
+// the number of occupied cells, not to the grid. The same particles
+// are also kept in row-major order, which turns the near-field
+// neighborhood walk into a sequential sweep with one cursor per
+// window row.
 //
-// The quadtree/rank-table path remains the differential oracle: for
-// every query family here there is a test pinning exact equality of
-// the produced event multisets against the tree enumeration.
+// The index is the only neighbor machinery of the model. Its tests pin
+// every query family to exact equality of the produced event multisets
+// against the naive definitions in internal/oracle.
 package keynav
 
 import (
 	"fmt"
 	"math/bits"
+	"sort"
 	"sync"
 
 	"sfcacd/internal/geom"
@@ -31,50 +35,6 @@ import (
 )
 
 var buildCounter = obs.GetCounter("keynav.builds")
-
-// Engine selects how the accumulation passes resolve neighbor cells
-// and enumerate the far-field interaction structure.
-type Engine uint8
-
-const (
-	// EngineTree is the original path: the assignment's rank table for
-	// near-field probes and the dense per-level quadtree.RankTree for
-	// the far field. It doubles as the differential oracle.
-	EngineTree Engine = iota
-	// EngineKeys resolves everything on the sorted Morton key array:
-	// no rank table, no tree arenas.
-	EngineKeys
-	// EngineAuto defers the choice to the accumulation pass, which
-	// picks per regime: the tree path where the dense rank table fits
-	// its memory budget, the key-space engine where it would not
-	// (large orders, 3D grids). Results are bit-identical either way —
-	// auto only moves cost.
-	EngineAuto
-)
-
-// ParseEngine resolves an engine name; "" means EngineTree.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "tree":
-		return EngineTree, nil
-	case "keys":
-		return EngineKeys, nil
-	case "auto":
-		return EngineAuto, nil
-	}
-	return EngineTree, fmt.Errorf("keynav: unknown engine %q (want tree, keys, or auto)", s)
-}
-
-// String names the engine.
-func (e Engine) String() string {
-	switch e {
-	case EngineKeys:
-		return "keys"
-	case EngineAuto:
-		return "auto"
-	}
-	return "tree"
-}
 
 // level is one resolution level of the index: occupied cells as sorted
 // level keys, their representative ranks, the start of each cell's
@@ -107,22 +67,6 @@ func (lv *level) find(k uint64) int {
 		return lo
 	}
 	return -1
-}
-
-// lowerBound returns the first position whose key is >= k (len(keys)
-// if none), narrowed through the directory like find.
-func (lv *level) lowerBound(k uint64) int {
-	b := k >> lv.shift
-	lo, hi := int(lv.dir[b]), int(lv.dir[b+1])
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if lv.keys[m] < k {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
 }
 
 // buildDir (re)builds the level's radix directory for the given total
@@ -174,7 +118,8 @@ func grow[T any](s []T, n int) []T {
 
 // Index is the key-space occupancy index of one assignment: particles
 // as sorted (Morton key, rank) pairs plus the per-level representative
-// slabs. Build with Build; recycle with Release.
+// slabs, and the same particles in row-major order for the near-field
+// sweep. Build with Build; recycle with Release.
 type Index struct {
 	// Order is the finest resolution order (grid side 2^Order).
 	Order uint
@@ -183,11 +128,16 @@ type Index struct {
 	// keys/ranks back the finest level (also aliased by lv[Order]).
 	keys  []uint64
 	ranks []int32
+	// Row-major particle order: row y holds positions
+	// rowStart[y]..rowStart[y+1] of rowX/rowRank, in increasing x.
+	rowStart []int32
+	rowX     []uint32
+	rowRank  []int32
 }
 
 // indexPool recycles Index slabs between builds: parallel sweep cells
 // each build one per assignment, so pooling keeps the allocator out of
-// the sweep hot path (same discipline as quadtree's slab pool).
+// the sweep hot path.
 var indexPool = sync.Pool{New: func() any { return new(Index) }}
 
 // Build constructs the index from particle cells and their owning
@@ -229,6 +179,36 @@ func (ix *Index) Rebuild(order uint, pts []geom.Point, ranks []int32) {
 		sortPairs(ix.keys, ix.ranks, 2*order)
 	}
 	ix.buildLevels()
+	ix.buildRows()
+}
+
+// buildRows derives the row-major order by a stable counting sort of
+// the Morton-sorted particles on y. For a fixed y the Morton key grows
+// with x, so each row comes out in increasing x.
+func (ix *Index) buildRows() {
+	side := int(geom.Side(ix.Order))
+	n := len(ix.keys)
+	ix.rowStart = grow(ix.rowStart, side+1)
+	clear(ix.rowStart)
+	ix.rowX = grow(ix.rowX, n)
+	ix.rowRank = grow(ix.rowRank, n)
+	for _, k := range ix.keys {
+		_, y := sfc.MortonCoords(k)
+		ix.rowStart[y+1]++
+	}
+	for y := 1; y <= side; y++ {
+		ix.rowStart[y] += ix.rowStart[y-1]
+	}
+	// Scatter with rowStart[y] as row y's cursor; afterwards it holds
+	// the row's end, so shifting by one restores the starts.
+	for i, k := range ix.keys {
+		x, y := sfc.MortonCoords(k)
+		c := ix.rowStart[y]
+		ix.rowX[c], ix.rowRank[c] = x, ix.ranks[i]
+		ix.rowStart[y] = c + 1
+	}
+	copy(ix.rowStart[1:], ix.rowStart[:side])
+	ix.rowStart[0] = 0
 }
 
 // buildLevels derives every coarser level from the finest by one
@@ -297,8 +277,7 @@ func (ix *Index) RankAt(p geom.Point) int32 {
 }
 
 // Rep returns the representative (minimum) rank of cell (x, y) at the
-// given level, or -1 if the cell is empty — the RankTree.Rep oracle's
-// signature, answered by key search.
+// given level, or -1 if the cell is empty, answered by key search.
 func (ix *Index) Rep(l uint, x, y uint32) int32 {
 	if l > ix.Order {
 		panic(fmt.Sprintf("keynav: level %d beyond order %d", l, ix.Order))
@@ -313,130 +292,49 @@ func (ix *Index) Rep(l uint, x, y uint32) int32 {
 	return -1
 }
 
-// nearScan bounds the sequential probe of rankNear before it falls
-// back to the directory search: eight keys is one cache line of the
-// sorted array.
-const nearScan = 8
-
-// rankNear resolves the rank of the cell with key kt, hinted that the
-// probe originates from sorted position i. Neighbor cells usually sit
-// a handful of positions ahead in key order, so a short forward scan
-// answers most probes (including definite misses, when the scan passes
-// kt) without touching the directory.
-func (ix *Index) rankNear(i int, kt uint64) int32 {
-	fin := &ix.lv[ix.Order]
-	if kt > fin.keys[i] {
-		end := i + nearScan
-		if end > len(fin.keys) {
-			end = len(fin.keys)
-		}
-		for j := i + 1; j < end; j++ {
-			if kj := fin.keys[j]; kj >= kt {
-				if kj == kt {
-					return fin.reps[j]
-				}
-				return -1
-			}
-		}
-		if end == len(fin.keys) {
-			return -1
-		}
-	}
-	if j := fin.find(kt); j >= 0 {
-		return fin.reps[j]
-	}
-	return -1
-}
-
 // VisitUpperNeighborPairs calls fn(rank, neighborRank) for every
 // occupied cell q within metric distance radius of particle i that
 // follows i's cell in row-major order, for every particle i in
-// [lo, hi). The enumeration mirrors geom.VisitUpperNeighborhood
-// exactly (same clamping at the grid edges), so over the full particle
-// range the emitted rank pairs are the near-field upper event stream.
-// Neighbor cells are reached by dilated-integer arithmetic on the key
-// and resolved against the sorted array.
+// positions [lo, hi) of the row-major particle order: the rows
+// dy = 0..radius above the cell, clamped at the grid edges, starting
+// at x+1 on the cell's own row. Every unordered pair within the radius
+// is thus seen once, from its row-major-lower endpoint, so over the
+// full particle range the emitted rank pairs are the near-field upper
+// event stream.
+//
+// The particles of a row are visited in increasing x, so the left
+// edge of each window row only moves right: one cursor per window row
+// rides along, and the pass reads the rows sequentially.
 func (ix *Index) VisitUpperNeighborPairs(lo, hi, radius int, m geom.Metric, fn func(rank, neighbor int32)) {
-	if radius <= 0 {
+	if radius <= 0 || lo >= hi {
 		return
 	}
-	side := int(geom.Side(ix.Order))
-	fin := &ix.lv[ix.Order]
-	for i := lo; i < hi; i++ {
-		x, y := sfc.MortonCoords(fin.keys[i])
-		mine := fin.reps[i]
-		for dy := 0; dy <= radius; dy++ {
-			yq := int(y) + dy
-			if yq >= side {
-				break
+	side := len(ix.rowStart) - 1
+	cur := make([]int32, radius+1)
+	y := sort.Search(side, func(y int) bool { return int(ix.rowStart[y+1]) > lo })
+	for i := lo; i < hi; y++ {
+		for dy := 1; dy <= radius && y+dy < side; dy++ {
+			cur[dy] = ix.rowStart[y+dy]
+		}
+		rowEnd := int(ix.rowStart[y+1])
+		for ; i < hi && i < rowEnd; i++ {
+			x := int(ix.rowX[i])
+			mine := ix.rowRank[i]
+			for j := i + 1; j < rowEnd && int(ix.rowX[j]) <= x+radius; j++ {
+				fn(mine, ix.rowRank[j])
 			}
-			span := radius
-			if m == geom.MetricManhattan {
-				span = radius - dy
-			}
-			x0 := int(x) - span
-			if dy == 0 {
-				x0 = int(x) + 1
-			}
-			if x0 < 0 {
-				x0 = 0
-			}
-			x1 := int(x) + span
-			if x1 >= side {
-				x1 = side - 1
-			}
-			ypart := sfc.MortonYPart(uint32(yq))
-			xpart := sfc.MortonXPart(uint32(x0))
-			if dy == 0 {
-				// Same-row probes start at x+1, whose key follows the
-				// particle's own sorted position: hint from there.
-				for xq := x0; xq <= x1; xq++ {
-					kt := ypart | xpart
-					xpart = sfc.MortonIncX(xpart)
-					if r := ix.rankNear(i, kt); r >= 0 {
-						fn(mine, r)
-					}
+			for dy := 1; dy <= radius && y+dy < side; dy++ {
+				span := radius
+				if m == geom.MetricManhattan {
+					span = radius - dy
 				}
-				continue
-			}
-			// Rows above the particle sit far from position i in key
-			// order, but the row's own targets ascend, so after one
-			// directory placement a cursor rides the row: each next
-			// target is resolved by a short forward scan from the
-			// previous one, falling back to the directory only when
-			// the gap holds more than a cache line of other-row keys.
-			c := -1
-			for xq := x0; xq <= x1; xq++ {
-				kt := ypart | xpart
-				xpart = sfc.MortonIncX(xpart)
-				j := -1
-				if c >= 0 && kt > fin.keys[c] {
-					end := c + 1 + nearScan
-					if end > len(fin.keys) {
-						end = len(fin.keys)
-					}
-					for t := c + 1; t < end; t++ {
-						if fin.keys[t] >= kt {
-							j = t
-							break
-						}
-					}
-					if j < 0 {
-						if end == len(fin.keys) {
-							// Every remaining key is below kt; the rest
-							// of the row is unoccupied.
-							break
-						}
-						j = fin.lowerBound(kt)
-					}
-				} else {
-					j = fin.lowerBound(kt)
+				c, end := cur[dy], ix.rowStart[y+dy+1]
+				for c < end && int(ix.rowX[c]) < x-span {
+					c++
 				}
-				if j < len(fin.keys) && fin.keys[j] == kt {
-					fn(mine, fin.reps[j])
-					c = j
-				} else {
-					c = j - 1
+				cur[dy] = c
+				for ; c < end && int(ix.rowX[c]) <= x+span; c++ {
+					fn(mine, ix.rowRank[c])
 				}
 			}
 		}

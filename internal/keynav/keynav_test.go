@@ -9,15 +9,16 @@ import (
 	"sfcacd/internal/dist"
 	"sfcacd/internal/geom"
 	"sfcacd/internal/keynav"
-	"sfcacd/internal/quadtree"
+	"sfcacd/internal/oracle"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
 )
 
-// The quadtree/rank-table path is the differential oracle: every query
-// family of the key-space engine is pinned here to exact equality —
-// same ranks, same representative per cell, same event multisets —
-// across curves (sorted and unsorted key input), seeds, and radii.
+// The naive definitions in internal/oracle are the reference: every
+// query family of the key-space engine is pinned here to exact
+// equality — same ranks, same representative per cell, same event
+// multisets — across curves (sorted and unsorted key input), seeds,
+// radii, and chunkings of the work range.
 
 func buildAssignment(t *testing.T, curve sfc.Curve, order uint, n, p int, seed uint64) *acd.Assignment {
 	t.Helper()
@@ -35,17 +36,22 @@ func buildAssignment(t *testing.T, curve sfc.Curve, order uint, n, p int, seed u
 var testCurves = []sfc.Curve{sfc.RowMajor, sfc.Morton, sfc.Gray, sfc.Hilbert}
 
 // TestIndexRankAtMatchesAssignment probes every grid cell against the
-// assignment's rank table.
+// assignment's particle ownership.
 func TestIndexRankAtMatchesAssignment(t *testing.T) {
 	const order, n, p = 5, 300, 16
 	for _, curve := range testCurves {
 		a := buildAssignment(t, curve, order, n, p, 7)
+		owner := oracle.CellRanks(a)
 		ix := keynav.Build(a.Order, a.Particles, a.Ranks)
 		side := geom.Side(order)
 		for y := uint32(0); y < side; y++ {
 			for x := uint32(0); x < side; x++ {
 				q := geom.Pt(x, y)
-				if got, want := ix.RankAt(q), a.RankAt(q); got != want {
+				want, ok := owner[q]
+				if !ok {
+					want = -1
+				}
+				if got := ix.RankAt(q); got != want {
 					t.Fatalf("%s: RankAt%v = %d, oracle %d", curve.Name(), q, got, want)
 				}
 			}
@@ -54,33 +60,28 @@ func TestIndexRankAtMatchesAssignment(t *testing.T) {
 	}
 }
 
-// TestIndexRepMatchesRankTree probes every cell of every level against
-// the quadtree representative slab.
+// TestIndexRepMatchesRankTree probes every cell of every level against the
+// oracle's per-level minimum-rank maps.
 func TestIndexRepMatchesRankTree(t *testing.T) {
 	const order, n, p = 5, 300, 16
 	for _, curve := range testCurves {
 		a := buildAssignment(t, curve, order, n, p, 11)
 		ix := keynav.Build(a.Order, a.Particles, a.Ranks)
-		tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
+		tree := oracle.NewRankTree(a.Order, a.Particles, a.Ranks)
 		for l := uint(0); l <= order; l++ {
 			side := geom.Side(l)
-			occupied := 0
 			for y := uint32(0); y < side; y++ {
 				for x := uint32(0); x < side; x++ {
-					got, want := ix.Rep(l, x, y), tree.Rep(l, x, y)
+					got, want := ix.Rep(l, x, y), tree.Rep(l, geom.Pt(x, y))
 					if got != want {
 						t.Fatalf("%s: Rep(%d,%d,%d) = %d, oracle %d", curve.Name(), l, x, y, got, want)
 					}
-					if got >= 0 {
-						occupied++
-					}
 				}
 			}
-			if ix.LevelLen(l) != occupied {
-				t.Fatalf("%s: LevelLen(%d) = %d, oracle %d", curve.Name(), l, ix.LevelLen(l), occupied)
+			if got, want := ix.LevelLen(l), len(tree.Cells(l)); got != want {
+				t.Fatalf("%s: LevelLen(%d) = %d, oracle %d", curve.Name(), l, got, want)
 			}
 		}
-		tree.Release()
 		ix.Release()
 	}
 }
@@ -93,9 +94,32 @@ func pairKey(a, b int32) uint64 {
 	return uint64(uint32(a))<<32 | uint64(uint32(b))
 }
 
+// orderedMultiset counts an ordered event stream by unordered pair. The
+// relations the upper visitors enumerate are symmetric, so each upper
+// pair must appear exactly twice here.
+func orderedMultiset(visit func(fn func(src, dst int32))) map[uint64]int {
+	m := map[uint64]int{}
+	visit(func(src, dst int32) { m[pairKey(src, dst)]++ })
+	return m
+}
+
+// oracleIL returns the oracle's ordered interaction-list stream of one
+// level, by unordered pair.
+func oracleIL(tree *oracle.RankTree, l uint) map[uint64]int {
+	return orderedMultiset(func(fn func(src, dst int32)) {
+		for _, c := range tree.Cells(l) {
+			for _, q := range oracle.InteractionList(l, c) {
+				if other := tree.Rep(l, q); other >= 0 {
+					fn(tree.Rep(l, c), other)
+				}
+			}
+		}
+	})
+}
+
 // TestVisitUpperNeighborPairsMatchesOracle compares the near-field
-// upper event multiset against geom.VisitUpperNeighborhood + RankAt,
-// across metrics, radii (including radius beyond the grid side), and
+// upper event multiset against the oracle's window scan, across
+// metrics, radii (including radius beyond the grid side), and
 // worker-style chunkings of the particle range.
 func TestVisitUpperNeighborPairsMatchesOracle(t *testing.T) {
 	const order, n, p = 5, 300, 16
@@ -105,21 +129,15 @@ func TestVisitUpperNeighborPairsMatchesOracle(t *testing.T) {
 		ix := keynav.Build(a.Order, a.Particles, a.Ranks)
 		for _, m := range []geom.Metric{geom.MetricChebyshev, geom.MetricManhattan} {
 			for _, radius := range []int{0, 1, 2, 3, int(side), int(side) + 3} {
-				want := map[uint64]int{}
-				for i, pt := range a.Particles {
-					mine := a.Ranks[i]
-					geom.VisitUpperNeighborhood(pt, radius, m, side, func(q geom.Point) {
-						if r := a.RankAt(q); r >= 0 {
-							want[pairKey(mine, r)]++
-						}
-					})
-				}
+				want := orderedMultiset(func(fn func(src, dst int32)) {
+					oracle.VisitNFIPairs(a, radius, m, fn)
+				})
 				for _, chunk := range []int{a.N(), 1, 7} {
 					got := map[uint64]int{}
 					for lo := 0; lo < a.N(); lo += chunk {
 						hi := min(lo+chunk, a.N())
 						ix.VisitUpperNeighborPairs(lo, hi, radius, m, func(rank, nb int32) {
-							got[pairKey(rank, nb)]++
+							got[pairKey(rank, nb)] += 2
 						})
 					}
 					if !mapsEqual(got, want) {
@@ -134,18 +152,18 @@ func TestVisitUpperNeighborPairsMatchesOracle(t *testing.T) {
 }
 
 // TestVisitParentLinksMatchesTree compares the interpolation link
-// multiset per level against the quadtree cell walk.
+// multiset per level against the oracle tree's cell walk.
 func TestVisitParentLinksMatchesTree(t *testing.T) {
 	const order, n, p = 5, 300, 16
 	for _, curve := range testCurves {
 		a := buildAssignment(t, curve, order, n, p, 17)
 		ix := keynav.Build(a.Order, a.Particles, a.Ranks)
-		tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
+		tree := oracle.NewRankTree(a.Order, a.Particles, a.Ranks)
 		for l := uint(1); l <= order; l++ {
 			want := map[uint64]int{}
-			tree.VisitCells(l, func(x, y uint32, rep int32) {
-				want[pairKey(tree.Rep(l-1, x/2, y/2), rep)]++
-			})
+			for _, c := range tree.Cells(l) {
+				want[pairKey(tree.Rep(l-1, geom.Pt(c.X/2, c.Y/2)), tree.Rep(l, c))]++
+			}
 			for _, chunk := range []int{ix.LevelLen(l), 1, 5} {
 				got := map[uint64]int{}
 				for lo := 0; lo < ix.LevelLen(l); lo += chunk {
@@ -159,13 +177,12 @@ func TestVisitParentLinksMatchesTree(t *testing.T) {
 				}
 			}
 		}
-		tree.Release()
 		ix.Release()
 	}
 }
 
 // TestVisitUpperILPairsMatchesTree compares the interaction-list pair
-// multiset per level against the quadtree enumeration, both full-range
+// multiset per level against the oracle's definition, both full-range
 // and chunked over parent positions.
 func TestVisitUpperILPairsMatchesTree(t *testing.T) {
 	const order = 5
@@ -176,35 +193,32 @@ func TestVisitUpperILPairsMatchesTree(t *testing.T) {
 		}{{300, 16, 19}, {12, 4, 23}, {1, 1, 29}} {
 			a := buildAssignment(t, curve, order, tc.n, tc.p, tc.seed)
 			ix := keynav.Build(a.Order, a.Particles, a.Ranks)
-			tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
+			tree := oracle.NewRankTree(a.Order, a.Particles, a.Ranks)
 			for l := uint(2); l <= order; l++ {
-				want := map[uint64]int{}
-				tree.VisitUpperInteractionPairs(l, 0, geom.Side(l), func(rep, other int32) {
-					want[pairKey(rep, other)]++
-				})
+				want := oracleIL(tree, l)
 				plen := ix.LevelLen(l - 1)
 				for _, chunk := range []int{plen, 1, 3} {
 					got := map[uint64]int{}
 					for lo := 0; lo < plen; lo += chunk {
 						hi := min(lo+chunk, plen)
 						ix.VisitUpperILPairs(l, lo, hi, func(rep, other int32) {
-							got[pairKey(rep, other)]++
+							got[pairKey(rep, other)] += 2
 						})
 					}
 					if !mapsEqual(got, want) {
-						t.Fatalf("%s n=%d l=%d chunk=%d: IL multiset mismatch (got %d pairs, want %d)",
+						t.Fatalf("%s n=%d l=%d chunk=%d: IL multiset mismatch (got %d, want %d ordered events)",
 							curve.Name(), tc.n, l, chunk, count(got), count(want))
 					}
 				}
 			}
-			tree.Release()
 			ix.Release()
 		}
 	}
 }
 
-// TestDenseGridAllLevels fills the grid completely so every IL and
-// neighbor relation exists, catching off-by-ones the sparse sets miss.
+// TestDenseGridAllLevels fills the grid completely, with one particle
+// per rank, so every IL and neighbor relation exists and every pair is
+// distinct — catching off-by-ones the sparse sets miss.
 func TestDenseGridAllLevels(t *testing.T) {
 	const order = 3
 	side := geom.Side(order)
@@ -214,39 +228,34 @@ func TestDenseGridAllLevels(t *testing.T) {
 			pts = append(pts, geom.Pt(x, y))
 		}
 	}
-	a, err := acd.Assign(pts, sfc.Hilbert, order, 8)
+	a, err := acd.Assign(pts, sfc.Hilbert, order, len(pts))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ix := keynav.Build(a.Order, a.Particles, a.Ranks)
-	tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
+	tree := oracle.NewRankTree(a.Order, a.Particles, a.Ranks)
 	for l := uint(2); l <= order; l++ {
-		want := map[uint64]int{}
-		tree.VisitUpperInteractionPairs(l, 0, geom.Side(l), func(rep, other int32) {
-			want[pairKey(rep, other)]++
-		})
+		want := oracleIL(tree, l)
 		got := map[uint64]int{}
 		ix.VisitUpperILPairs(l, 0, ix.LevelLen(l-1), func(rep, other int32) {
-			got[pairKey(rep, other)]++
+			got[pairKey(rep, other)] += 2
 		})
 		if !mapsEqual(got, want) {
-			t.Fatalf("dense l=%d: IL multiset mismatch (got %d pairs, want %d)", l, count(got), count(want))
+			t.Fatalf("dense l=%d: IL multiset mismatch (got %d, want %d ordered events)", l, count(got), count(want))
 		}
 	}
-	want := map[uint64]int{}
-	for i, pt := range a.Particles {
-		geom.VisitUpperNeighborhood(pt, 1, geom.MetricChebyshev, side, func(q geom.Point) {
-			want[pairKey(a.Ranks[i], a.RankAt(q))]++
+	for _, radius := range []int{1, 2} {
+		want := orderedMultiset(func(fn func(src, dst int32)) {
+			oracle.VisitNFIPairs(a, radius, geom.MetricChebyshev, fn)
 		})
+		got := map[uint64]int{}
+		ix.VisitUpperNeighborPairs(0, a.N(), radius, geom.MetricChebyshev, func(rank, nb int32) {
+			got[pairKey(rank, nb)] += 2
+		})
+		if !mapsEqual(got, want) {
+			t.Fatalf("dense r=%d: near-field multiset mismatch", radius)
+		}
 	}
-	got := map[uint64]int{}
-	ix.VisitUpperNeighborPairs(0, a.N(), 1, geom.MetricChebyshev, func(rank, nb int32) {
-		got[pairKey(rank, nb)]++
-	})
-	if !mapsEqual(got, want) {
-		t.Fatal("dense: near-field multiset mismatch")
-	}
-	tree.Release()
 	ix.Release()
 }
 
@@ -300,28 +309,6 @@ func TestFlatMatchesMap(t *testing.T) {
 	}
 }
 
-// TestParseEngine pins the flag vocabulary.
-func TestParseEngine(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want keynav.Engine
-		err  bool
-	}{
-		{"", keynav.EngineTree, false},
-		{"tree", keynav.EngineTree, false},
-		{"keys", keynav.EngineKeys, false},
-		{"quadtree", 0, true},
-	} {
-		got, err := keynav.ParseEngine(tc.in)
-		if (err != nil) != tc.err || got != tc.want {
-			t.Fatalf("ParseEngine(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if keynav.EngineKeys.String() != "keys" || keynav.EngineTree.String() != "tree" {
-		t.Fatal("Engine.String vocabulary changed")
-	}
-}
-
 func mapsEqual(a, b map[uint64]int) bool {
 	if len(a) != len(b) {
 		return false
@@ -342,9 +329,8 @@ func count(m map[uint64]int) int {
 	return total
 }
 
-// BenchmarkKeyNavLookup measures the directory-search RankAt against
-// which the rank-table paths are compared (see BenchmarkRankAt in
-// internal/acd).
+// BenchmarkKeyNavLookup measures the directory-search RankAt behind
+// acd.Assignment.RankAt.
 func BenchmarkKeyNavLookup(b *testing.B) {
 	for _, order := range []uint{8, 12} {
 		const n = 15625
@@ -371,8 +357,8 @@ func BenchmarkKeyNavLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkKeyNavBuild measures index construction against
-// quadtree.BuildRankTree at the same scale.
+// BenchmarkKeyNavBuild measures index construction at the scaled
+// table12 shape.
 func BenchmarkKeyNavBuild(b *testing.B) {
 	const order, n = 8, 15625
 	pts, err := dist.SampleUnique(dist.Uniform, rng.New(1), order, n)
@@ -390,9 +376,9 @@ func BenchmarkKeyNavBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkKeyNavILPairs is the keynav counterpart of quadtree's
-// BenchmarkInteractionList: one full interaction-list sweep over every
-// level, enumerated from adjacent occupied parent pairs.
+// BenchmarkKeyNavILPairs measures one full interaction-list sweep over
+// every level, enumerated from adjacent occupied parent pairs — the
+// commmat.build.ffi hot loop.
 func BenchmarkKeyNavILPairs(b *testing.B) {
 	for _, tc := range []struct {
 		order uint

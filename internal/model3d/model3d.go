@@ -33,11 +33,8 @@ type Assignment struct {
 	// Ranks[i] owns Particles[i]; monotone non-decreasing.
 	Ranks []int32
 	side  uint32
-	// cellRank maps occupied cells to ranks (sparse: 3D grids are
-	// large).
-	cellRank map[uint64]int32
-	// keyIx is the flat Morton3-key index of the keys engine, built on
-	// first use.
+	// keyIx is the flat Morton3-key occupancy index behind RankAt and
+	// the near field, built on first use.
 	ixOnce sync.Once
 	keyIx  *keynav.Flat
 }
@@ -87,7 +84,6 @@ func Assign(particles []geom3.Point3, curve sfc.NDCurve, order uint, p int) (*As
 		Particles: make([]geom3.Point3, n),
 		Ranks:     make([]int32, n),
 		side:      geom3.Side(order),
-		cellRank:  make(map[uint64]int32, n),
 	}
 	var prev uint64
 	for i, src := range perm {
@@ -95,10 +91,8 @@ func Assign(particles []geom3.Point3, curve sfc.NDCurve, order uint, p int) (*As
 			return nil, fmt.Errorf("model3d: duplicate particle cell %v", particles[src])
 		}
 		prev = keys[src]
-		rank := int32(partition.ChunkOf(i, n, p))
 		a.Particles[i] = particles[src]
-		a.Ranks[i] = rank
-		a.cellRank[geom3.CellID(particles[src], a.side)] = rank
+		a.Ranks[i] = int32(partition.ChunkOf(i, n, p))
 	}
 	return a, nil
 }
@@ -109,12 +103,10 @@ func (a *Assignment) Side() uint32 { return a.side }
 // N returns the particle count.
 func (a *Assignment) N() int { return len(a.Particles) }
 
-// RankAt returns the rank owning the particle in a cell, or -1.
+// RankAt returns the rank owning the particle in a cell, or -1. It
+// answers by key search on the flat index.
 func (a *Assignment) RankAt(p geom3.Point3) int32 {
-	if r, ok := a.cellRank[geom3.CellID(p, a.side)]; ok {
-		return r
-	}
-	return -1
+	return a.keyIndex().Rank(sfc.Morton3Key(p.X, p.Y, p.Z))
 }
 
 // NFIOptions configures the 3D near-field model.
@@ -126,15 +118,11 @@ type NFIOptions struct {
 	Metric geom.Metric
 	// Workers caps worker goroutines; 0 means GOMAXPROCS.
 	Workers int
-	// Engine selects neighbor resolution: the assignment's sparse cell
-	// map (tree, the default and oracle) or a flat key-space index over
-	// 3D Morton keys (keys). Results are identical; the 3D grid is
-	// always too large for a dense table, so the keys engine replaces
-	// every map probe with a directory-narrowed key search.
-	Engine keynav.Engine
 }
 
-// NFI computes the 3D near-field ACD.
+// NFI computes the 3D near-field ACD. Neighbor cells resolve to ranks
+// by directory-narrowed key search on the assignment's flat Morton3
+// index.
 func NFI(a *Assignment, topo topology.Topology, opts NFIOptions) acd.Accumulator {
 	defer obs.StartSpan("accumulation.nfi").End()
 	if opts.Radius == 0 {
@@ -143,16 +131,7 @@ func NFI(a *Assignment, topo topology.Topology, opts NFIOptions) acd.Accumulator
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	// rank resolves a neighbor cell to its owning rank under the
-	// selected engine.
-	rank := a.RankAt
-	// EngineAuto resolves to keys here: the 3D grid (8^order cells) is
-	// always past the dense-table budget, so the occupancy heuristic
-	// never picks the map-probing tree path.
-	if opts.Engine == keynav.EngineKeys || opts.Engine == keynav.EngineAuto {
-		flat := a.keyIndex()
-		rank = func(q geom3.Point3) int32 { return flat.Rank(sfc.Morton3Key(q.X, q.Y, q.Z)) }
-	}
+	flat := a.keyIndex()
 	n := a.N()
 	workers := opts.Workers
 	if workers > n {
@@ -172,7 +151,7 @@ func NFI(a *Assignment, topo topology.Topology, opts NFIOptions) acd.Accumulator
 				p := a.Particles[i]
 				mine := int(a.Ranks[i])
 				geom3.VisitNeighborhood(p, opts.Radius, opts.Metric, a.side, func(q geom3.Point3) {
-					if r := rank(q); r >= 0 {
+					if r := flat.Rank(sfc.Morton3Key(q.X, q.Y, q.Z)); r >= 0 {
 						local.Add(topo.Distance(mine, int(r)))
 					}
 				})
@@ -213,7 +192,7 @@ func FFI(a *Assignment, topo topology.Topology, workers int) FFIResult {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	treebuild := obs.StartSpan("treebuild")
-	tree := octree.BuildRankTree(a.Order, a.Particles, a.Ranks)
+	tree := octree.Build(a.Order, a.Particles, a.Ranks)
 	treebuild.End()
 	var res FFIResult
 	for l := tree.Order; l >= 1; l-- {
@@ -236,7 +215,7 @@ func FFI(a *Assignment, topo topology.Topology, workers int) FFIResult {
 	return res
 }
 
-func interactionLevel3D(tree *octree.RankTree, topo topology.Topology, level uint, workers int) acd.Accumulator {
+func interactionLevel3D(tree *octree.Tree, topo topology.Topology, level uint, workers int) acd.Accumulator {
 	side := geom3.Side(level)
 	if workers > int(side) {
 		workers = int(side)

@@ -8,7 +8,6 @@ import (
 	"sfcacd/internal/dist"
 	"sfcacd/internal/geom"
 	"sfcacd/internal/geom3"
-	"sfcacd/internal/keynav"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/topology"
@@ -98,19 +97,30 @@ func bruteNFI3(a *Assignment, topo topology.Topology, radius int, m geom.Metric)
 	return res
 }
 
+// TestNFIMatchesBruteForce pins the flat-index near field to the
+// quadratic reference across every 3D curve, radii, and both metrics.
 func TestNFIMatchesBruteForce(t *testing.T) {
-	const order = 3
-	pts := sample3(t, dist.Normal3, 2, order, 120)
-	a, err := Assign(pts, sfc.MortonND{N: 3}, order, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo := topology.NewTorus3D(1, sfc.HilbertND{N: 3})
-	for _, radius := range []int{1, 2} {
-		got := NFI(a, topo, NFIOptions{Radius: radius})
-		want := bruteNFI3(a, topo, radius, geom.MetricChebyshev)
-		if got != want {
-			t.Fatalf("r=%d: NFI %+v != brute %+v", radius, got, want)
+	for _, tc := range []struct {
+		order, procOrder uint
+		n                int
+		seed             uint64
+	}{{3, 1, 120, 2}, {4, 2, 250, 7}} {
+		pts := sample3(t, dist.Normal3, tc.seed, tc.order, tc.n)
+		topo := topology.NewTorus3D(tc.procOrder, sfc.HilbertND{N: 3})
+		for _, curve := range sfc.AllND(3) {
+			a, err := Assign(pts, curve, tc.order, topo.P())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, radius := range []int{1, 2} {
+				for _, m := range []geom.Metric{geom.MetricChebyshev, geom.MetricManhattan} {
+					got := NFI(a, topo, NFIOptions{Radius: radius, Metric: m})
+					want := bruteNFI3(a, topo, radius, m)
+					if got != want {
+						t.Fatalf("order %d %s r=%d %s: NFI %+v != brute %+v", tc.order, curve.Name(), radius, m, got, want)
+					}
+				}
+			}
 		}
 	}
 }
@@ -260,28 +270,4 @@ func TestANNS3DPanicsOn2DCurve(t *testing.T) {
 		}
 	}()
 	ANNS3D(sfc.HilbertND{N: 2}, 2, 1)
-}
-
-// TestNFIKeysEngineMatchesTree pins the 3D keys engine (flat Morton3
-// index) to the sparse-map oracle: identical accumulators across
-// curves and radii.
-func TestNFIKeysEngineMatchesTree(t *testing.T) {
-	const order = 4
-	pts := sample3(t, dist.Normal3, 7, order, 250)
-	topo := topology.NewTorus3D(2, sfc.HilbertND{N: 3})
-	for _, curve := range sfc.AllND(3) {
-		a, err := Assign(pts, curve, order, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, radius := range []int{1, 2} {
-			for _, m := range []geom.Metric{geom.MetricChebyshev, geom.MetricManhattan} {
-				want := NFI(a, topo, NFIOptions{Radius: radius, Metric: m})
-				got := NFI(a, topo, NFIOptions{Radius: radius, Metric: m, Engine: keynav.EngineKeys})
-				if got != want {
-					t.Fatalf("%s r=%d %s: keys %+v != tree %+v", curve.Name(), radius, m, got, want)
-				}
-			}
-		}
-	}
 }

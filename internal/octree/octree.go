@@ -1,6 +1,6 @@
-// Package octree is the 3D counterpart of the quadtree package: the
-// per-level minimum-rank representative tree over a compressed octree
-// domain decomposition, with 3D FMM interaction lists. It backs the 3D
+// Package octree provides the per-level minimum-rank representative
+// tree over a 3D octree domain decomposition, with 3D FMM interaction
+// lists. It backs the 3D
 // extension of the communication model (the paper's future-work item
 // ii).
 package octree
@@ -11,23 +11,22 @@ import (
 	"sfcacd/internal/geom3"
 )
 
-// RankTree records, per octree level, the minimum processor rank
+// Tree records, per octree level, the minimum processor rank
 // owning a particle in each cell (-1 when empty). Level 0 is the root;
 // level Order is the finest 2^Order cube.
-type RankTree struct {
+type Tree struct {
 	// Order is the finest level.
 	Order uint
 	// levels[l] has 8^l entries indexed by (z*side+y)*side+x.
 	levels [][]int32
 }
 
-// BuildRankTree constructs the tree from particle cells and owning
-// ranks.
-func BuildRankTree(order uint, pts []geom3.Point3, ranks []int32) *RankTree {
+// Build constructs the tree from particle cells and owning ranks.
+func Build(order uint, pts []geom3.Point3, ranks []int32) *Tree {
 	if len(pts) != len(ranks) {
 		panic("octree: pts and ranks length mismatch")
 	}
-	t := &RankTree{Order: order, levels: make([][]int32, order+1)}
+	t := &Tree{Order: order, levels: make([][]int32, order+1)}
 	for l := uint(0); l <= order; l++ {
 		lv := make([]int32, geom3.Cells(l))
 		for i := range lv {
@@ -71,7 +70,7 @@ func BuildRankTree(order uint, pts []geom3.Point3, ranks []int32) *RankTree {
 }
 
 // Rep returns the representative rank of a cell, or -1 when empty.
-func (t *RankTree) Rep(level uint, p geom3.Point3) int32 {
+func (t *Tree) Rep(level uint, p geom3.Point3) int32 {
 	if level > t.Order {
 		panic(fmt.Sprintf("octree: level %d beyond order %d", level, t.Order))
 	}
@@ -83,7 +82,7 @@ func (t *RankTree) Rep(level uint, p geom3.Point3) int32 {
 }
 
 // NonEmpty returns the occupied cell count of a level.
-func (t *RankTree) NonEmpty(level uint) int {
+func (t *Tree) NonEmpty(level uint) int {
 	n := 0
 	for _, v := range t.levels[level] {
 		if v != -1 {
@@ -95,7 +94,7 @@ func (t *RankTree) NonEmpty(level uint) int {
 
 // VisitCells calls fn for every occupied cell of a level, in dense-id
 // order.
-func (t *RankTree) VisitCells(level uint, fn func(p geom3.Point3, rep int32)) {
+func (t *Tree) VisitCells(level uint, fn func(p geom3.Point3, rep int32)) {
 	side := geom3.Side(level)
 	lv := t.levels[level]
 	for id, rep := range lv {
@@ -108,7 +107,7 @@ func (t *RankTree) VisitCells(level uint, fn func(p geom3.Point3, rep int32)) {
 // InteractionList calls fn for every occupied member of the 3D FMM
 // interaction list of cell p at the given level: children of the
 // parent's (<=26) neighbors that are not Chebyshev-adjacent to p.
-func (t *RankTree) InteractionList(level uint, p geom3.Point3, fn func(q geom3.Point3, rep int32)) {
+func (t *Tree) InteractionList(level uint, p geom3.Point3, fn func(q geom3.Point3, rep int32)) {
 	if level < 2 {
 		return
 	}

@@ -13,7 +13,7 @@ func TestBuildRankTreeMinRank(t *testing.T) {
 		geom3.Pt3(3, 3, 3), // far octant
 	}
 	ranks := []int32{4, 2, 7, 1}
-	tr := BuildRankTree(2, pts, ranks)
+	tr := Build(2, pts, ranks)
 	if got := tr.Rep(2, geom3.Pt3(0, 0, 0)); got != 4 {
 		t.Errorf("finest rep = %d", got)
 	}
@@ -33,7 +33,7 @@ func TestBuildRankTreeMinRank(t *testing.T) {
 
 func TestNonEmptyAndVisit(t *testing.T) {
 	pts := []geom3.Point3{geom3.Pt3(0, 0, 0), geom3.Pt3(7, 7, 7), geom3.Pt3(3, 4, 5)}
-	tr := BuildRankTree(3, pts, []int32{0, 1, 2})
+	tr := Build(3, pts, []int32{0, 1, 2})
 	if tr.NonEmpty(3) != 3 || tr.NonEmpty(0) != 1 {
 		t.Fatalf("NonEmpty: %d, %d", tr.NonEmpty(3), tr.NonEmpty(0))
 	}
@@ -63,7 +63,7 @@ func TestInteractionListGeometry(t *testing.T) {
 			}
 		}
 	}
-	tr := BuildRankTree(2, pts, ranks)
+	tr := Build(2, pts, ranks)
 	count := 0
 	tr.InteractionList(2, geom3.Pt3(0, 0, 0), func(q geom3.Point3, _ int32) {
 		count++
@@ -95,7 +95,7 @@ func TestInteractionListMatchesBruteForce(t *testing.T) {
 		pts = append(pts, geom3.Pt3(i, (i*3)%8, (i*5)%8))
 		ranks = append(ranks, int32(i))
 	}
-	tr := BuildRankTree(3, pts, ranks)
+	tr := Build(3, pts, ranks)
 	for level := uint(2); level <= 3; level++ {
 		side := geom3.Side(level)
 		for z := uint32(0); z < side; z++ {
@@ -140,7 +140,7 @@ func TestInteractionListMatchesBruteForce(t *testing.T) {
 }
 
 func TestInteractionListLowLevelsEmpty(t *testing.T) {
-	tr := BuildRankTree(2, []geom3.Point3{geom3.Pt3(0, 0, 0)}, []int32{0})
+	tr := Build(2, []geom3.Point3{geom3.Pt3(0, 0, 0)}, []int32{0})
 	for level := uint(0); level < 2; level++ {
 		tr.InteractionList(level, geom3.Pt3(0, 0, 0), func(geom3.Point3, int32) {
 			t.Fatalf("level %d yielded members", level)
@@ -149,9 +149,9 @@ func TestInteractionListLowLevelsEmpty(t *testing.T) {
 }
 
 func TestPanics(t *testing.T) {
-	tr := BuildRankTree(2, []geom3.Point3{geom3.Pt3(0, 0, 0)}, []int32{0})
+	tr := Build(2, []geom3.Point3{geom3.Pt3(0, 0, 0)}, []int32{0})
 	for i, fn := range []func(){
-		func() { BuildRankTree(2, []geom3.Point3{geom3.Pt3(0, 0, 0)}, nil) },
+		func() { Build(2, []geom3.Point3{geom3.Pt3(0, 0, 0)}, nil) },
 		func() { tr.Rep(3, geom3.Pt3(0, 0, 0)) },
 		func() { tr.Rep(1, geom3.Pt3(2, 0, 0)) },
 		func() { tr.InteractionList(2, geom3.Pt3(4, 0, 0), nil) },

@@ -1,3 +1,6 @@
+// Package quadtree provides a linear compressed quadtree in the style
+// of Sundar, Sampath & Biros (the paper's reference [20]): adaptive
+// leaves as Morton-ordered cells, with 2:1 balancing.
 package quadtree
 
 import (

@@ -28,12 +28,8 @@ import (
 // add per call is a measurable fraction of the work. Query-dominated
 // pipelines therefore tally locally — usually for free, as the event
 // count of the acd.Accumulator they are filling — and flush in bulk
-// through CountDistanceQueries. BFS queries are rare and counted per
-// call.
-var (
-	analyticQueries = obs.GetCounter("topology.distance.analytic")
-	bfsQueries      = obs.GetCounter("topology.distance.bfs")
-)
+// through CountDistanceQueries.
+var analyticQueries = obs.GetCounter("topology.distance.analytic")
 
 // CountDistanceQueries records n analytic Distance calls answered by
 // some topology. See the counter comment for why this is a bulk API.
@@ -41,38 +37,6 @@ func CountDistanceQueries(n uint64) {
 	if n > 0 {
 		analyticQueries.Add(n)
 	}
-}
-
-// BFSDistances computes single-source shortest-path hop counts over
-// the topology's link graph, the ground truth the analytic Distance
-// functions are verified against. Unreachable ranks get -1. The
-// topology must implement NeighborLister.
-func BFSDistances(t Topology, src int) []int {
-	checkRank(t, src)
-	bfsQueries.Inc()
-	nl, ok := t.(NeighborLister)
-	if !ok {
-		panic(fmt.Sprintf("topology: %s does not expose neighbors for BFS", t.Name()))
-	}
-	dist := make([]int, t.P())
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int{src}
-	var buf []int
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		buf = nl.Neighbors(cur, buf[:0])
-		for _, n := range buf {
-			if dist[n] == -1 {
-				dist[n] = dist[cur] + 1
-				queue = append(queue, n)
-			}
-		}
-	}
-	return dist
 }
 
 // Topology is a network of P processors with a shortest-path hop

@@ -7,10 +7,6 @@ import (
 	"sfcacd/internal/sfc"
 )
 
-// bfsDistances is the exported BFSDistances; the alias keeps the many
-// existing call sites below unchanged.
-func bfsDistances(t Topology, src int) []int { return BFSDistances(t, src) }
-
 func verifyAgainstBFS(t *testing.T, topo Topology) {
 	t.Helper()
 	for src := 0; src < topo.P(); src++ {
