@@ -222,6 +222,14 @@ func (ix *Index) buildLevels() {
 		ix.lv = lv
 	}
 	ix.lv = ix.lv[:order+1]
+	// A level that was the finest of an earlier, lower-order build
+	// still aliases the particle slab; reusing it as a coarse level
+	// would overwrite the particles it is derived from.
+	for l := range ix.lv[:order] {
+		if ix.lv[l].childStart == nil {
+			ix.lv[l].keys, ix.lv[l].reps = nil, nil
+		}
+	}
 	fin := &ix.lv[order]
 	fin.keys, fin.reps, fin.childStart = ix.keys, ix.ranks, nil
 	fin.buildDir(2 * order)

@@ -259,6 +259,34 @@ func TestDenseGridAllLevels(t *testing.T) {
 	ix.Release()
 }
 
+// TestRebuildAcrossOrders refills one index through growing and
+// shrinking orders: every level must match the oracle after each
+// rebuild, whatever slabs the previous build left behind.
+func TestRebuildAcrossOrders(t *testing.T) {
+	var ix *keynav.Index
+	for i, order := range []uint{2, 3, 5, 2, 4, 4} {
+		n := int(geom.Side(order)) * int(geom.Side(order)) / 3
+		a := buildAssignment(t, sfc.Hilbert, order, n, 4, uint64(40+i))
+		if ix == nil {
+			ix = keynav.Build(a.Order, a.Particles, a.Ranks)
+		} else {
+			ix.Rebuild(a.Order, a.Particles, a.Ranks)
+		}
+		tree := oracle.NewRankTree(a.Order, a.Particles, a.Ranks)
+		for l := uint(0); l <= order; l++ {
+			side := geom.Side(l)
+			for y := uint32(0); y < side; y++ {
+				for x := uint32(0); x < side; x++ {
+					if got, want := ix.Rep(l, x, y), tree.Rep(l, geom.Pt(x, y)); got != want {
+						t.Fatalf("rebuild %d (order %d): Rep(%d,%d,%d) = %d, oracle %d", i, order, l, x, y, got, want)
+					}
+				}
+			}
+		}
+	}
+	ix.Release()
+}
+
 // TestFlatMatchesMap pins the 3D-facing flat index against a plain map
 // on random sparse Morton3 keys, for sorted and unsorted input.
 func TestFlatMatchesMap(t *testing.T) {

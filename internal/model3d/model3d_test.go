@@ -125,6 +125,67 @@ func TestNFIMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// mapNFI3 is the sparse-map reference: particle cells looked up in a
+// hash map while scanning each particle's radius window.
+func mapNFI3(a *Assignment, topo topology.Topology, radius int, m geom.Metric) acd.Accumulator {
+	owner := make(map[geom3.Point3]int32, a.N())
+	for i, p := range a.Particles {
+		owner[p] = a.Ranks[i]
+	}
+	var res acd.Accumulator
+	for i, p := range a.Particles {
+		geom3.VisitNeighborhood(p, radius, m, a.Side(), func(q geom3.Point3) {
+			if r, ok := owner[q]; ok {
+				res.Add(topo.Distance(int(a.Ranks[i]), int(r)))
+			}
+		})
+	}
+	return res
+}
+
+// TestNFIKeysEngineMatchesTree pins the 3D keys engine (flat Morton3
+// index) to the sparse-map oracle: the same owner for every cell of the
+// cube, and identical accumulators across curves and radii.
+func TestNFIKeysEngineMatchesTree(t *testing.T) {
+	const order = 4
+	pts := sample3(t, dist.Normal3, 7, order, 250)
+	topo := topology.NewTorus3D(2, sfc.HilbertND{N: 3})
+	for _, curve := range sfc.AllND(3) {
+		a, err := Assign(pts, curve, order, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner := make(map[geom3.Point3]int32, a.N())
+		for i, p := range a.Particles {
+			owner[p] = a.Ranks[i]
+		}
+		side := a.Side()
+		for z := uint32(0); z < side; z++ {
+			for y := uint32(0); y < side; y++ {
+				for x := uint32(0); x < side; x++ {
+					c := geom3.Pt3(x, y, z)
+					want, ok := owner[c]
+					if !ok {
+						want = -1
+					}
+					if got := a.RankAt(c); got != want {
+						t.Fatalf("%s: RankAt(%v) = %d, map %d", curve.Name(), c, got, want)
+					}
+				}
+			}
+		}
+		for _, radius := range []int{1, 2} {
+			for _, m := range []geom.Metric{geom.MetricChebyshev, geom.MetricManhattan} {
+				want := mapNFI3(a, topo, radius, m)
+				got := NFI(a, topo, NFIOptions{Radius: radius, Metric: m})
+				if got != want {
+					t.Fatalf("%s r=%d %s: keys %+v != map %+v", curve.Name(), radius, m, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestNFIDeterministicAcrossWorkers(t *testing.T) {
 	const order = 4
 	pts := sample3(t, dist.Uniform3, 3, order, 300)

@@ -1,10 +1,82 @@
 package quadtree
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 
 	"sfcacd/internal/geom"
+	"sfcacd/internal/keynav"
 )
+
+// These tests pin the representative quadtree — every occupied cell
+// labelled with the minimum rank owning a particle inside it — as the
+// key-space index serves it, against the Cell algebra of this package:
+// representatives gathered along Parent chains, and interaction lists
+// built from Parent, Child and Chebyshev adjacency.
+
+// cellReps returns the representative of every occupied cell on every
+// level, found by walking each particle's finest cell up to the root.
+func cellReps(order uint, pts []geom.Point, ranks []int32) map[Cell]int32 {
+	reps := map[Cell]int32{}
+	for i, p := range pts {
+		c := Cell{Level: order, X: p.X, Y: p.Y}
+		for {
+			if r, ok := reps[c]; !ok || ranks[i] < r {
+				reps[c] = ranks[i]
+			}
+			if c.Level == 0 {
+				break
+			}
+			c = c.Parent()
+		}
+	}
+	return reps
+}
+
+// interactionList returns the cells of c's interaction list: children
+// of c's parent and of the parent's neighbors that are neither c nor
+// adjacent to it.
+func interactionList(c Cell) []Cell {
+	if c.Level < 2 {
+		return nil
+	}
+	p := c.Parent()
+	pside := int(geom.Side(p.Level))
+	var list []Cell
+	for dy := -1; dy <= 1; dy++ {
+		for dx := -1; dx <= 1; dx++ {
+			nx, ny := int(p.X)+dx, int(p.Y)+dy
+			if nx < 0 || ny < 0 || nx >= pside || ny >= pside {
+				continue
+			}
+			n := Cell{Level: p.Level, X: uint32(nx), Y: uint32(ny)}
+			for i := 0; i < 4; i++ {
+				q := n.Child(i)
+				if geom.Chebyshev(geom.Pt(c.X, c.Y), geom.Pt(q.X, q.Y)) > 1 {
+					list = append(list, q)
+				}
+			}
+		}
+	}
+	return list
+}
+
+// randomTree draws n distinct cells of an order-`order` grid and
+// assigns them p ranks in row-major chunks.
+func randomTree(order uint, n, p int, seed int64) ([]geom.Point, []int32) {
+	rng := rand.New(rand.NewSource(seed))
+	side := geom.Side(order)
+	perm := rng.Perm(int(side) * int(side))[:n]
+	sort.Ints(perm)
+	pts := make([]geom.Point, n)
+	ranks := make([]int32, n)
+	for i, id := range perm {
+		pts[i] = geom.Pt(uint32(id%int(side)), uint32(id/int(side)))
+		ranks[i] = int32(i * p / n)
+	}
+	return pts, ranks
+}
 
 func TestBuildRankTreeMinRank(t *testing.T) {
 	// Particles in three quadrants of a 4x4 grid with known ranks.
@@ -14,251 +86,117 @@ func TestBuildRankTreeMinRank(t *testing.T) {
 		geom.Pt(2, 3), geom.Pt(3, 3), // upper-right
 	}
 	ranks := []int32{4, 2, 7, 1, 9}
-	tr := BuildRankTree(2, pts, ranks)
-
-	// Finest level: exactly the particle cells.
-	if got := tr.Rep(2, 0, 0); got != 4 {
-		t.Errorf("rep(2,0,0) = %d", got)
+	ix := keynav.Build(2, pts, ranks)
+	defer ix.Release()
+	for _, tc := range []struct {
+		c    Cell
+		want int32
+	}{
+		// Finest level: exactly the particle cells.
+		{Cell{2, 0, 0}, 4}, {Cell{2, 1, 1}, 2}, {Cell{2, 2, 2}, -1},
+		// Level 1: 2x2 quadrants take the min of their children.
+		{Cell{1, 0, 0}, 2}, {Cell{1, 1, 0}, 7}, {Cell{1, 1, 1}, 1}, {Cell{1, 0, 1}, -1},
+		// Root: global minimum.
+		{Root, 1},
+	} {
+		if got := ix.Rep(tc.c.Level, tc.c.X, tc.c.Y); got != tc.want {
+			t.Errorf("rep %v = %d, want %d", tc.c, got, tc.want)
+		}
 	}
-	if got := tr.Rep(2, 1, 1); got != 2 {
-		t.Errorf("rep(2,1,1) = %d", got)
-	}
-	if got := tr.Rep(2, 2, 2); got != -1 {
-		t.Errorf("empty cell rep = %d", got)
-	}
-	// Level 1: 2x2 quadrants take the min of their children.
-	if got := tr.Rep(1, 0, 0); got != 2 {
-		t.Errorf("lower-left quadrant rep = %d, want 2", got)
-	}
-	if got := tr.Rep(1, 1, 0); got != 7 {
-		t.Errorf("lower-right quadrant rep = %d, want 7", got)
-	}
-	if got := tr.Rep(1, 1, 1); got != 1 {
-		t.Errorf("upper-right quadrant rep = %d, want 1", got)
-	}
-	if got := tr.Rep(1, 0, 1); got != -1 {
-		t.Errorf("empty quadrant rep = %d, want -1", got)
-	}
-	// Root: global minimum.
-	if got := tr.Rep(0, 0, 0); got != 1 {
-		t.Errorf("root rep = %d, want 1", got)
+	for c, want := range cellReps(2, pts, ranks) {
+		if got := ix.Rep(c.Level, c.X, c.Y); got != want {
+			t.Errorf("rep %v = %d, Parent-chain minimum %d", c, got, want)
+		}
 	}
 }
 
 func TestNonEmptyAndVisit(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(7, 7), geom.Pt(3, 4)}
 	ranks := []int32{0, 1, 2}
-	tr := BuildRankTree(3, pts, ranks)
-	if got := tr.NonEmpty(3); got != 3 {
-		t.Errorf("finest NonEmpty = %d", got)
+	ix := keynav.Build(3, pts, ranks)
+	defer ix.Release()
+	if got := ix.LevelLen(3); got != 3 {
+		t.Errorf("finest level has %d occupied cells", got)
 	}
-	if got := tr.NonEmpty(0); got != 1 {
-		t.Errorf("root NonEmpty = %d", got)
+	if got := ix.LevelLen(0); got != 1 {
+		t.Errorf("root level has %d occupied cells", got)
 	}
-	visited := 0
-	tr.VisitCells(3, func(x, y uint32, rep int32) {
-		visited++
-		if rep == -1 {
-			t.Error("VisitCells yielded empty cell")
+	perLevel := make([]int, 4)
+	for c := range cellReps(3, pts, ranks) {
+		perLevel[c.Level]++
+		if ix.Rep(c.Level, c.X, c.Y) < 0 {
+			t.Errorf("occupied cell %v has no representative", c)
 		}
-	})
-	if visited != 3 {
-		t.Errorf("visited %d cells", visited)
 	}
-}
-
-func TestVisitCellsOrderDeterministic(t *testing.T) {
-	pts := []geom.Point{geom.Pt(2, 1), geom.Pt(1, 2), geom.Pt(0, 0)}
-	tr := BuildRankTree(2, pts, []int32{0, 1, 2})
-	var seq []geom.Point
-	tr.VisitCells(2, func(x, y uint32, _ int32) { seq = append(seq, geom.Pt(x, y)) })
-	want := []geom.Point{geom.Pt(0, 0), geom.Pt(2, 1), geom.Pt(1, 2)} // row-major
-	if len(seq) != len(want) {
-		t.Fatalf("visited %v", seq)
-	}
-	for i := range want {
-		if seq[i] != want[i] {
-			t.Fatalf("visit order %v, want %v", seq, want)
+	for l, n := range perLevel {
+		if got := ix.LevelLen(uint(l)); got != n {
+			t.Errorf("level %d: index holds %d cells, Parent chains reach %d", l, got, n)
 		}
 	}
 }
 
-func TestBuildRankTreeMismatchedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch did not panic")
-		}
-	}()
-	BuildRankTree(2, []geom.Point{geom.Pt(0, 0)}, nil)
-}
-
-func TestRepPanics(t *testing.T) {
-	tr := BuildRankTree(2, []geom.Point{geom.Pt(0, 0)}, []int32{0})
-	for _, fn := range []func(){
-		func() { tr.Rep(3, 0, 0) },
-		func() { tr.Rep(1, 2, 0) },
-		func() { tr.InteractionList(2, 4, 0, nil) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-// TestInteractionListMatchesFigure4 checks the worked example in the
-// paper's Figure 4(a): on the 4x4 level, a corner cell's interaction
-// list is "every node not in its quadrant" (12 cells), and an interior
-// cell like node 6 has 7 cells.
-func TestInteractionListMatchesFigure4(t *testing.T) {
-	// Fill the whole 4x4 level so all candidate cells are occupied.
-	var pts []geom.Point
-	var ranks []int32
-	for y := uint32(0); y < 4; y++ {
-		for x := uint32(0); x < 4; x++ {
-			pts = append(pts, geom.Pt(x, y))
-			ranks = append(ranks, int32(len(ranks)))
-		}
-	}
-	tr := BuildRankTree(2, pts, ranks)
-
-	// Corner cell (0,0): 12 interaction partners.
-	var corner []geom.Point
-	tr.InteractionList(2, 0, 0, func(x, y uint32, _ int32) { corner = append(corner, geom.Pt(x, y)) })
-	if len(corner) != 12 {
-		t.Fatalf("corner interaction list has %d cells, want 12", len(corner))
-	}
-	for _, c := range corner {
-		if c.X < 2 && c.Y < 2 {
-			t.Fatalf("corner list includes own-quadrant cell %v", c)
-		}
-	}
-	// Interior cell (2,1) (a "node 6" position): 16 - 9 = 7 cells.
-	var interior []geom.Point
-	tr.InteractionList(2, 2, 1, func(x, y uint32, _ int32) { interior = append(interior, geom.Pt(x, y)) })
-	if len(interior) != 7 {
-		t.Fatalf("interior interaction list has %d cells, want 7", len(interior))
-	}
-	for _, c := range interior {
-		if geom.Chebyshev(c, geom.Pt(2, 1)) <= 1 {
-			t.Fatalf("interior list includes adjacent cell %v", c)
-		}
-	}
-	// Sizes agree with the geometry-only counter.
-	if got := tr.InteractionListSize(2, 0, 0); got != 12 {
-		t.Errorf("InteractionListSize corner = %d", got)
-	}
-	if got := tr.InteractionListSize(2, 2, 1); got != 7 {
-		t.Errorf("InteractionListSize interior = %d", got)
-	}
-}
-
-func TestInteractionListSymmetric(t *testing.T) {
-	// If b is in a's list, a is in b's list (on a fully occupied grid).
-	var pts []geom.Point
-	var ranks []int32
-	for y := uint32(0); y < 8; y++ {
-		for x := uint32(0); x < 8; x++ {
-			pts = append(pts, geom.Pt(x, y))
-			ranks = append(ranks, int32(len(ranks)))
-		}
-	}
-	tr := BuildRankTree(3, pts, ranks)
-	for level := uint(2); level <= 3; level++ {
-		side := geom.Side(level)
-		lists := make(map[geom.Point]map[geom.Point]bool)
-		for y := uint32(0); y < side; y++ {
-			for x := uint32(0); x < side; x++ {
-				m := make(map[geom.Point]bool)
-				tr.InteractionList(level, x, y, func(nx, ny uint32, _ int32) {
-					m[geom.Pt(nx, ny)] = true
-				})
-				lists[geom.Pt(x, y)] = m
+// TestVisitUpperInteractionPairsClosure: the upper-pair traversal plus
+// its mirror is exactly the full interaction-list enumeration — every
+// (cell, partner) pair of every occupied cell, in both directions.
+func TestVisitUpperInteractionPairsClosure(t *testing.T) {
+	const order = 5
+	pts, ranks := randomTree(order, 300, 64, 1)
+	reps := cellReps(order, pts, ranks)
+	ix := keynav.Build(order, pts, ranks)
+	defer ix.Release()
+	for level := uint(2); level <= order; level++ {
+		full := map[[2]int32]int{}
+		for c, rep := range reps {
+			if c.Level != level {
+				continue
 			}
-		}
-		for a, m := range lists {
-			for b := range m {
-				if !lists[b][a] {
-					t.Fatalf("level %d: %v in list of %v but not vice versa", level, b, a)
+			for _, q := range interactionList(c) {
+				if other, ok := reps[q]; ok {
+					full[[2]int32{rep, other}]++
 				}
 			}
 		}
-	}
-}
-
-func TestInteractionListSkipsEmptyCells(t *testing.T) {
-	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(3, 3)}
-	tr := BuildRankTree(2, pts, []int32{0, 1})
-	count := 0
-	tr.InteractionList(2, 0, 0, func(x, y uint32, rep int32) {
-		count++
-		if x != 3 || y != 3 || rep != 1 {
-			t.Fatalf("unexpected member (%d,%d) rep %d", x, y, rep)
-		}
-	})
-	if count != 1 {
-		t.Fatalf("interaction list had %d members, want 1", count)
-	}
-}
-
-func TestInteractionListLevelBelow2Empty(t *testing.T) {
-	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(3, 3)}
-	tr := BuildRankTree(2, pts, []int32{0, 1})
-	for level := uint(0); level < 2; level++ {
-		tr.InteractionList(level, 0, 0, func(uint32, uint32, int32) {
-			t.Fatalf("level %d yielded interaction partners", level)
+		upper := map[[2]int32]int{}
+		ix.VisitUpperILPairs(level, 0, ix.LevelLen(level-1), func(rep, other int32) {
+			upper[[2]int32{rep, other}]++
+			upper[[2]int32{other, rep}]++
 		})
-		if tr.InteractionListSize(level, 0, 0) != 0 {
-			t.Fatalf("level %d has nonzero size", level)
+		if len(full) != len(upper) {
+			t.Fatalf("level %d: %d directed pairs from full enumeration, %d from upper closure", level, len(full), len(upper))
+		}
+		for k, n := range full {
+			if upper[k] != n {
+				t.Fatalf("level %d: pair %v seen %d times via upper closure, want %d", level, k, upper[k], n)
+			}
 		}
 	}
 }
 
-func TestInteractionListTotalSizeKnown(t *testing.T) {
-	// On a fully occupied level of side s >= 4, summing list sizes over
-	// all cells counts each well-separated-with-adjacent-parents pair
-	// twice. Verify against a brute-force pair scan.
-	var pts []geom.Point
-	var ranks []int32
-	for y := uint32(0); y < 8; y++ {
-		for x := uint32(0); x < 8; x++ {
-			pts = append(pts, geom.Pt(x, y))
-			ranks = append(ranks, int32(len(ranks)))
-		}
+// TestVisitUpperInteractionPairsStripes: cutting the parent level into
+// stripes of positions covers exactly the same pairs as one full-range
+// call.
+func TestVisitUpperInteractionPairsStripes(t *testing.T) {
+	const order, level = 5, 4
+	pts, ranks := randomTree(order, 250, 32, 2)
+	ix := keynav.Build(order, pts, ranks)
+	defer ix.Release()
+	plen := ix.LevelLen(level - 1)
+	whole := map[[2]int32]int{}
+	ix.VisitUpperILPairs(level, 0, plen, func(rep, other int32) {
+		whole[[2]int32{rep, other}]++
+	})
+	striped := map[[2]int32]int{}
+	for lo := 0; lo < plen; lo += 3 {
+		ix.VisitUpperILPairs(level, lo, min(lo+3, plen), func(rep, other int32) {
+			striped[[2]int32{rep, other}]++
+		})
 	}
-	tr := BuildRankTree(3, pts, ranks)
-	for level := uint(2); level <= 3; level++ {
-		side := geom.Side(level)
-		got := 0
-		for y := uint32(0); y < side; y++ {
-			for x := uint32(0); x < side; x++ {
-				tr.InteractionList(level, x, y, func(uint32, uint32, int32) { got++ })
-			}
-		}
-		want := 0
-		for ay := uint32(0); ay < side; ay++ {
-			for ax := uint32(0); ax < side; ax++ {
-				for by := uint32(0); by < side; by++ {
-					for bx := uint32(0); bx < side; bx++ {
-						a, b := geom.Pt(ax, ay), geom.Pt(bx, by)
-						if geom.Chebyshev(a, b) <= 1 {
-							continue
-						}
-						pa := geom.Pt(ax/2, ay/2)
-						pb := geom.Pt(bx/2, by/2)
-						if geom.Chebyshev(pa, pb) <= 1 {
-							want++
-						}
-					}
-				}
-			}
-		}
-		if got != want {
-			t.Fatalf("level %d: interaction pairs %d, brute force %d", level, got, want)
+	if len(whole) != len(striped) {
+		t.Fatalf("stripes found %d pairs, whole range %d", len(striped), len(whole))
+	}
+	for k, n := range whole {
+		if striped[k] != n {
+			t.Fatalf("pair %v: stripes %d, whole %d", k, striped[k], n)
 		}
 	}
 }
