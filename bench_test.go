@@ -303,7 +303,8 @@ func BenchmarkCommMatBuild(b *testing.B) {
 }
 
 // BenchmarkCommMatContract measures the per-topology side: contracting
-// prebuilt matrices against the four tori through distance tables.
+// prebuilt matrices against the four tori, one single-table pass per
+// torus and matrix.
 func BenchmarkCommMatContract(b *testing.B) {
 	a, topos := commMatFixture(b)
 	nfi := fmmmodel.NFIMatrix(a, fmmmodel.NFIOptions{Radius: benchParams.Radius})
@@ -316,9 +317,10 @@ func BenchmarkCommMatContract(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, dt := range tables {
 			var n, interp, il acd.Accumulator
-			nfi.ContractTableSym(dt, &n)
-			ffi.Interpolation.ContractTable(dt, &interp)
-			ffi.InteractionList.ContractTableSym(dt, &il)
+			one := []*topology.DistanceTable{dt}
+			nfi.ContractTableMultiSym(one, []*acd.Accumulator{&n}, 1)
+			ffi.Interpolation.ContractTableMulti(one, []*acd.Accumulator{&interp}, 1)
+			ffi.InteractionList.ContractTableMultiSym(one, []*acd.Accumulator{&il}, 1)
 		}
 	}
 }

@@ -14,12 +14,14 @@
 // specialized to exact event counts.
 //
 // Build with a Builder (one Shard per concurrent worker, merged into an
-// immutable Matrix by Finalize), then contract with Matrix.Contract or,
-// faster, Matrix.ContractTable against a topology.DistanceTable. Event
-// streams whose pair relation is symmetric (near field, interaction
-// lists) are best aggregated in canonical src <= dst form — each
-// unordered pair recorded once — and contracted with the Sym variants,
-// which weight every pair by both directions.
+// immutable Matrix by Finalize), then contract with
+// Matrix.ContractTableMulti against one or more topology.DistanceTable
+// values — the package's only contraction, one fused pass over the
+// distinct pairs for any number of tables. Event streams whose pair
+// relation is symmetric (near field, interaction lists) are best
+// aggregated in canonical src <= dst form — each unordered pair
+// recorded once — and contracted with the Sym variant, which weights
+// every pair by both directions.
 //
 // Aggregation is row-bucketed and atomic-free: each Shard owns its
 // memory. For p <= 512 a shard counts into its own p x p grid and
@@ -37,9 +39,7 @@ import (
 	"sort"
 	"sync"
 
-	"sfcacd/internal/acd"
 	"sfcacd/internal/obs"
-	"sfcacd/internal/topology"
 )
 
 // Build-volume counters: "commmat.events" counts aggregated
@@ -137,81 +137,6 @@ func (m *Matrix) Visit(fn func(src, dst int32, n uint32)) {
 			fn(src, m.dsts[i], m.counts[i])
 		}
 	}
-}
-
-// Contract applies the matrix against a topology directly: one Distance
-// interface call per distinct pair. It is the portable (and oracle)
-// contraction; ContractTable is the fast path.
-func (m *Matrix) Contract(t topology.Topology, acc *acd.Accumulator) {
-	m.contract(t, acc, 1)
-}
-
-// ContractSym is Contract for a symmetric-canonical matrix (unordered
-// pair counts with src <= dst): every pair's events are weighted twice,
-// once per direction, which is exact because hop distance is symmetric.
-func (m *Matrix) ContractSym(t topology.Topology, acc *acd.Accumulator) {
-	m.contract(t, acc, 2)
-}
-
-func (m *Matrix) contract(t topology.Topology, acc *acd.Accumulator, weight int) {
-	m.Visit(func(src, dst int32, n uint32) {
-		acc.AddN(t.Distance(int(src), int(dst)), weight*int(n))
-	})
-	topology.CountDistanceQueries(uint64(m.pairs))
-}
-
-// ContractTable applies the matrix against a precomputed distance
-// table: rows dense enough to amortize a table-row build are contracted
-// with devirtualized array indexing, the rest with direct Distance
-// calls per distinct pair.
-func (m *Matrix) ContractTable(dt *topology.DistanceTable, acc *acd.Accumulator) {
-	m.contractTable(dt, acc, 1)
-}
-
-// ContractTableSym is ContractTable for a symmetric-canonical matrix;
-// see ContractSym.
-func (m *Matrix) ContractTableSym(dt *topology.DistanceTable, acc *acd.Accumulator) {
-	m.contractTable(dt, acc, 2)
-}
-
-func (m *Matrix) contractTable(dt *topology.DistanceTable, acc *acd.Accumulator, weight int) {
-	t := dt.Underlying()
-	direct := uint64(0)
-	if m.dense != nil {
-		for src := 0; src < m.p; src++ {
-			base := src * m.p
-			if row := dt.RowFor(src, m.p); row != nil {
-				for dst := 0; dst < m.p; dst++ {
-					if n := m.dense[base+dst]; n != 0 {
-						acc.AddN(int(row[dst]), weight*int(n))
-					}
-				}
-				continue
-			}
-			for dst := 0; dst < m.p; dst++ {
-				if n := m.dense[base+dst]; n != 0 {
-					acc.AddN(t.Distance(src, dst), weight*int(n))
-					direct++
-				}
-			}
-		}
-		topology.CountDistanceQueries(direct)
-		return
-	}
-	for r, src := range m.rowSrc {
-		lo, hi := m.rowStart[r], m.rowStart[r+1]
-		if row := dt.RowFor(int(src), int(hi-lo)); row != nil {
-			for i := lo; i < hi; i++ {
-				acc.AddN(int(row[m.dsts[i]]), weight*int(m.counts[i]))
-			}
-			continue
-		}
-		for i := lo; i < hi; i++ {
-			acc.AddN(t.Distance(int(src), int(m.dsts[i])), weight*int(m.counts[i]))
-		}
-		direct += uint64(hi - lo)
-	}
-	topology.CountDistanceQueries(direct)
 }
 
 // Builder aggregates a communication event stream into a Matrix.
@@ -529,14 +454,4 @@ func (m *Matrix) computeDiag() {
 			m.diag += uint64(m.counts[int(lo)+i])
 		}
 	}
-}
-
-// BuildSerial aggregates a visitor-produced event stream into a Matrix
-// on the calling goroutine — the convenience path for event sources
-// that are not worth sharding.
-func BuildSerial(p int, visit func(emit func(src, dst int32))) *Matrix {
-	b := NewBuilder(p, 1)
-	s := b.Shard(0)
-	visit(func(src, dst int32) { s.Add(src, dst) })
-	return b.Finalize()
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"sfcacd/internal/acd"
+	"sfcacd/internal/oracle"
 	"sfcacd/internal/topology"
 )
 
@@ -276,7 +277,17 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestBuildSerialMatchesBuilder: the convenience path is the builder.
+// buildSerial aggregates a visitor-produced event stream into a Matrix
+// on the calling goroutine through a one-shard Builder.
+func buildSerial(p int, visit func(emit func(src, dst int32))) *Matrix {
+	b := NewBuilder(p, 1)
+	s := b.Shard(0)
+	visit(func(src, dst int32) { s.Add(src, dst) })
+	return b.Finalize()
+}
+
+// TestBuildSerialMatchesBuilder: a one-shard builder fed from a
+// visitor aggregates exactly.
 func TestBuildSerialMatchesBuilder(t *testing.T) {
 	const p, n = 600, 8000
 	events := randomEvents(13, p, n)
@@ -284,7 +295,7 @@ func TestBuildSerialMatchesBuilder(t *testing.T) {
 	for _, e := range events {
 		ref.add(e[0], e[1])
 	}
-	m := BuildSerial(p, func(emit func(src, dst int32)) {
+	m := buildSerial(p, func(emit func(src, dst int32)) {
 		for _, e := range events {
 			emit(e[0], e[1])
 		}
@@ -292,9 +303,10 @@ func TestBuildSerialMatchesBuilder(t *testing.T) {
 	checkAgainstRef(t, m, ref)
 }
 
-// TestContractEquivalence: Contract == per-event accumulation,
-// ContractTable == Contract, and the Sym variants weight each pair
-// exactly twice.
+// TestContractEquivalence: the per-pair reference contraction equals
+// per-event accumulation, a one-table fused pass equals the reference
+// on both matrix forms, and the Sym weighting counts each pair exactly
+// twice.
 func TestContractEquivalence(t *testing.T) {
 	for _, p := range []int{64, 600, 4096} {
 		events := randomEvents(int64(p)+1, p, 20000)
@@ -305,22 +317,19 @@ func TestContractEquivalence(t *testing.T) {
 		for _, e := range events {
 			direct.Add(topo.Distance(int(e[0]), int(e[1])))
 		}
-		var viaMatrix, viaTable, sym, symTable acd.Accumulator
-		m.Contract(topo, &viaMatrix)
-		dt := topology.NewDistanceTable(topo)
-		m.ContractTable(dt, &viaTable)
-		m.ContractSym(topo, &sym)
-		m.ContractTableSym(dt, &symTable)
+		var viaTable, symTable acd.Accumulator
+		m.ContractTableMulti([]*topology.DistanceTable{topology.NewDistanceTable(topo)}, []*acd.Accumulator{&viaTable}, 1)
+		m.ContractTableMultiSym([]*topology.DistanceTable{topology.NewDistanceTable(topo)}, []*acd.Accumulator{&symTable}, 3)
 
-		if viaMatrix != direct {
-			t.Fatalf("p=%d: Contract %+v != direct %+v", p, viaMatrix, direct)
+		if ref := oracle.Contract(m, topo, 1); ref != direct {
+			t.Fatalf("p=%d: reference contraction %+v != direct %+v", p, ref, direct)
 		}
 		if viaTable != direct {
-			t.Fatalf("p=%d: ContractTable %+v != direct %+v", p, viaTable, direct)
+			t.Fatalf("p=%d: one-table fused %+v != direct %+v", p, viaTable, direct)
 		}
 		want := acd.Accumulator{Sum: 2 * direct.Sum, Count: 2 * direct.Count, Zeros: 2 * direct.Zeros}
-		if sym != want || symTable != want {
-			t.Fatalf("p=%d: Sym contraction %+v / %+v != doubled %+v", p, sym, symTable, want)
+		if sym := oracle.Contract(m, topo, 2); sym != want || symTable != want {
+			t.Fatalf("p=%d: Sym contraction %+v / fused %+v != doubled %+v", p, sym, symTable, want)
 		}
 	}
 }

@@ -1,34 +1,34 @@
 // Fused multi-topology contraction: one pass over the distinct rank
-// pairs evaluates K distance tables at once. The per-topology
-// ContractTable loop reads every pair K times and re-derives the
-// topology-independent tallies (event count, zero-hop count) K times;
-// the fused pass streams each pair exactly once, gathers its row
-// neighbors into registers, and runs one tight sum loop per table
-// while the K distance rows for that source stay cache-hot.
+// pairs evaluates K distance tables at once, and is the package's only
+// contraction — a single table is the K = 1 case of the same pass. The
+// pass streams each pair exactly once, gathers its row neighbors into
+// registers, and runs one tight sum loop per table while the K distance
+// rows for that source stay cache-hot.
 //
 // Two invariants make the fusion both exact and deterministic:
 //
 //   - Hop distance is a metric (Topology: zero iff the ranks are
 //     equal), so Count and Zeros of a contraction do not depend on the
 //     topology at all — Count is the (weighted) event total and Zeros
-//     the (weighted) diagonal events. The fused pass computes both
-//     once per row and reduces the per-table work to the Sum
+//     the (weighted) diagonal events. The fused pass takes both from
+//     the matrix once and reduces the per-table work to the Sum
 //     multiply-add.
 //   - All tallies are exact integer sums, and the parallel path splits
 //     rows into worker-count-independent ranges (cut purely by the
-//     matrix's pair counts), contracts each range into a pooled
-//     accumulator slab, and merges the slabs in fixed range order — so
-//     the result is byte-identical to the sequential per-topology loop
-//     at any worker count.
+//     matrix's per-row lookup volumes), contracts each range into a
+//     pooled accumulator slab, and merges the slabs in fixed range
+//     order — so the result is byte-identical to a sequential per-pair
+//     sum at any worker count.
 //
-// Distance-table state stays pinned to the sequential path by a serial
-// plan step: before any parallel work, RowFor is replayed per table in
-// exactly the order (and with exactly the pair volumes) the sequential
-// contraction would issue, so which rows materialize — and therefore
-// the topology.distance.analytic accounting — cannot depend on
-// scheduling. Direct Distance calls for unmaterialized rows are
-// tallied per table and flushed once per table, like the sequential
-// path.
+// Distance-table state stays pinned to a sequential row-by-row
+// contraction by a serial plan step: before any parallel work,
+// DistanceTable.RowsFor (DenseRows for the dense form) replays per
+// table exactly the RowFor sequence — sources in order, each with the
+// pair volume the row is about to look up — that contracting the rows
+// one by one would issue, so which rows materialize, and therefore the
+// topology.distance.analytic accounting, cannot depend on scheduling.
+// Direct Distance calls for unmaterialized rows are tallied per table
+// and flushed once per table.
 package commmat
 
 import (
@@ -39,15 +39,16 @@ import (
 	"sfcacd/internal/topology"
 )
 
-// fusedCounter counts fused multi-table contraction passes
+// fusedCounter counts contraction passes over two or more tables
 // ("commmat.fused_contractions") — the manifest evidence that the
-// multi-topology call sites actually run the fused path.
+// multi-topology call sites share one pass. Single-table passes are
+// not counted.
 var fusedCounter = obs.GetCounter("commmat.fused_contractions")
 
-// fusedRangePairs is the distinct-pair volume one work range targets.
-// Ranges are cut from the matrix's own row pair counts, never from the
-// worker count, so the range boundaries — and with them the merge
-// structure — are a pure function of the matrix.
+// fusedRangePairs is the lookup volume one work range targets. Ranges
+// are cut from the matrix's own per-row volumes, never from the worker
+// count, so the range boundaries — and with them the merge structure —
+// are a pure function of the matrix.
 const fusedRangePairs = 4096
 
 // fusedSlab is the per-range result: one accumulator and one
@@ -141,17 +142,19 @@ func putPlan(pl *fusedPlan) {
 }
 
 // ContractTableMulti contracts the matrix against every distance table
-// in one fused pass, adding table k's contraction into accs[k]. The
-// result of each accumulator is exactly (Sum/Count/Zeros equality)
-// what ContractTable against the same table would produce, at any
-// worker count; workers <= 1 runs on the calling goroutine.
+// in one fused pass, adding table k's contraction into accs[k]: for
+// every pair, its event count times the table's hop distance (Sum),
+// the event count (Count), and the zero-hop events (Zeros). Results
+// are identical at any worker count; workers <= 1 runs on the calling
+// goroutine.
 func (m *Matrix) ContractTableMulti(dts []*topology.DistanceTable, accs []*acd.Accumulator, workers int) {
 	m.contractTableMulti(dts, accs, 1, workers)
 }
 
 // ContractTableMultiSym is ContractTableMulti for a symmetric-canonical
-// matrix: every pair's events count once per direction, matching
-// ContractTableSym.
+// matrix (unordered pair counts with src <= dst): every pair's events
+// count once per direction, which is exact because hop distance is
+// symmetric.
 func (m *Matrix) ContractTableMultiSym(dts []*topology.DistanceTable, accs []*acd.Accumulator, workers int) {
 	m.contractTableMulti(dts, accs, 2, workers)
 }
@@ -164,37 +167,25 @@ func (m *Matrix) contractTableMulti(dts []*topology.DistanceTable, accs []*acd.A
 	if k == 0 {
 		return
 	}
-	if k == 1 {
-		// A single table gains nothing from fusion — the sequential
-		// contraction is the same work without the plan pass — so
-		// single-topology call sites (the metrics sweep, per-tick
-		// incremental contractions) delegate and never regress.
-		m.contractTable(dts[0], accs[0], weight)
-		return
+	if k > 1 {
+		fusedCounter.Inc()
 	}
-	fusedCounter.Inc()
 
-	// Plan (serial): replay the sequential contraction's exact RowFor
-	// sequence per table, each table's batch under one lock. This both
-	// fixes which rows materialize — pinning the distance-query
-	// accounting to the sequential path — and captures the row pointers
-	// the parallel phase reads. The per-row pair counts double as the
-	// range-cutting weights.
+	// Plan (serial): replay the row-by-row RowFor sequence per table,
+	// each table's batch under one lock. This both fixes which rows
+	// materialize — pinning the distance-query accounting — and
+	// captures the row pointers the parallel phase reads. The per-row
+	// lookup volumes double as the range-cutting weights: a CSR row's
+	// pair count, and for a dense row p, since its work is a scan of
+	// the full row.
 	numRows := len(m.rowSrc)
 	if m.dense != nil {
 		numRows = m.p
 	}
 	pl := getPlan(k, numRows)
 	if m.dense != nil {
-		for src := 0; src < m.p; src++ {
-			base := src * m.p
-			nnz := int32(0)
-			for dst := 0; dst < m.p; dst++ {
-				if m.dense[base+dst] != 0 {
-					nnz++
-				}
-			}
-			pl.lens[src] = nnz
+		for src := range pl.lens {
+			pl.lens[src] = int32(m.p)
 		}
 	} else {
 		for r := range m.rowSrc {
@@ -207,8 +198,6 @@ func (m *Matrix) contractTableMulti(dts []*topology.DistanceTable, accs []*acd.A
 		pl.blocks[t], _ = pl.unders[t].(topology.RowBlockContractor)
 		rows := pl.rows[t*numRows : (t+1)*numRows]
 		if m.dense != nil {
-			// The sequential dense loop announces m.p lookups per row
-			// (it scans the full row), so the plan does too.
 			dt.DenseRows(m.p, rows)
 		} else {
 			dt.RowsFor(m.rowSrc, pl.lens, rows)
@@ -248,12 +237,12 @@ func (m *Matrix) contractTableMulti(dts []*topology.DistanceTable, accs []*acd.A
 		var dsts []int32
 		var ns []uint32
 		if m.dense != nil {
-			dsts = make([]int32, 0, m.p)
-			ns = make([]uint32, 0, m.p)
+			dsts = make([]int32, m.p)
+			ns = make([]uint32, m.p)
 		}
 		for i := range next {
 			s := getSlab(k)
-			m.fuseRange(ranges[i].lo, ranges[i].hi, pl, numRows, weight, s, &dsts, &ns)
+			m.fuseRange(ranges[i].lo, ranges[i].hi, pl, numRows, weight, s, dsts, ns)
 			slabs[i] = s
 		}
 	}
@@ -275,10 +264,9 @@ func (m *Matrix) contractTableMulti(dts []*topology.DistanceTable, accs []*acd.A
 	}
 
 	// Merge in fixed range order and flush each table's direct-call
-	// volume once, like its sequential contraction would. The ranges
-	// only tally Sum; Count and Zeros are topology-independent matrix
-	// constants (hop distance is zero iff the ranks are equal), applied
-	// here once per table.
+	// volume once. The ranges only tally Sum; Count and Zeros are
+	// topology-independent matrix constants (hop distance is zero iff
+	// the ranks are equal), applied here once per table.
 	w := uint64(weight)
 	for t := range accs {
 		accs[t].Count += w * m.events
@@ -298,28 +286,29 @@ func (m *Matrix) contractTableMulti(dts []*topology.DistanceTable, accs []*acd.A
 }
 
 // fuseRange contracts rows [lo, hi) into the slab: per row, the
-// nonzero (dst, count) pairs are gathered once (dense form) or sliced
-// in place (CSR), the topology-independent tallies computed once, and
-// each table reduced with a tight Sum loop over its distance row —
-// falling back to one batched DistanceSum (or, for topologies without
-// one, per-pair Distance calls), tallied per table, for rows the plan
-// left unmaterialized.
-func (m *Matrix) fuseRange(lo, hi int, pl *fusedPlan, numRows, weight int, slab *fusedSlab, dsts *[]int32, ns *[]uint32) {
+// nonzero (dst, count) pairs are gathered once into dsts/ns (dense
+// form, both p long) or sliced in place (CSR), and each table reduced
+// with a tight Sum loop over its distance row — falling back to one
+// batched DistanceSum (or, for topologies without one, per-pair
+// Distance calls), tallied per table, for rows the plan left
+// unmaterialized.
+func (m *Matrix) fuseRange(lo, hi int, pl *fusedPlan, numRows, weight int, slab *fusedSlab, dsts []int32, ns []uint32) {
 	w := uint64(weight)
 	if m.dense != nil {
 		for src := lo; src < hi; src++ {
 			base := src * m.p
-			rd, rn := (*dsts)[:0], (*ns)[:0]
-			for dst := 0; dst < m.p; dst++ {
-				if n := m.dense[base+dst]; n != 0 {
-					rd = append(rd, int32(dst))
-					rn = append(rn, n)
-				}
+			// Branch-free compaction: every cell is written, and only a
+			// nonzero count advances the cursor.
+			rd, rn := dsts, ns
+			nz := 0
+			for dst, n := range m.dense[base : base+m.p] {
+				rd[nz], rn[nz] = int32(dst), n
+				nz += int(min(n, 1))
 			}
-			*dsts, *ns = rd, rn
-			if len(rd) == 0 {
+			if nz == 0 {
 				continue
 			}
+			rd, rn = rd[:nz], rn[:nz]
 			for t := range slab.accs {
 				var s uint64
 				if row := pl.rows[t*numRows+src]; row != nil {
@@ -384,84 +373,4 @@ func fuseDirect(pl *fusedPlan, t, src int, rd []int32, rn []uint32) uint64 {
 		s += uint64(topo.Distance(src, int(d))) * uint64(rn[i])
 	}
 	return s
-}
-
-// ContractTableMultiSym contracts the maintained matrix against every
-// distance table in one fused pass with symmetric-canonical weighting,
-// adding table k's contraction into accs[k] — exactly what K calls of
-// ContractTableSym would produce. The maintainer is single-goroutine,
-// so the pass is serial: rows are buffered once from Visit and the K
-// distance rows for each source are looked up back to back, in the
-// same per-table RowFor order as the sequential path.
-func (m *Mutable) ContractTableMultiSym(dts []*topology.DistanceTable, accs []*acd.Accumulator) {
-	if len(dts) != len(accs) {
-		panic("commmat: ContractTableMultiSym needs one accumulator per table")
-	}
-	if len(dts) == 0 {
-		return
-	}
-	if len(dts) == 1 {
-		// See Matrix.contractTableMulti: one table contracts cheaper
-		// without the fusion scaffolding.
-		m.ContractTableSym(dts[0], accs[0])
-		return
-	}
-	fusedCounter.Inc()
-	unders := make([]topology.Topology, len(dts))
-	sums := make([]topology.PairContractor, len(dts))
-	for t, dt := range dts {
-		unders[t] = dt.Underlying()
-		sums[t], _ = unders[t].(topology.PairContractor)
-	}
-	direct := make([]uint64, len(dts))
-	curSrc := int32(-1)
-	var dsts []int32
-	var counts []uint32
-	flushRow := func() {
-		if len(dsts) == 0 {
-			return
-		}
-		var ev, zeros uint64
-		for i, d := range dsts {
-			n := uint64(counts[i])
-			ev += n
-			if d == curSrc {
-				zeros = n
-			}
-		}
-		for t, dt := range dts {
-			var s uint64
-			if row := dt.RowFor(int(curSrc), len(dsts)); row != nil {
-				for i, d := range dsts {
-					s += uint64(row[d]) * uint64(counts[i])
-				}
-			} else {
-				if pc := sums[t]; pc != nil {
-					s = pc.DistanceSum(int(curSrc), dsts, counts)
-				} else {
-					topo := unders[t]
-					for i, d := range dsts {
-						s += uint64(topo.Distance(int(curSrc), int(d))) * uint64(counts[i])
-					}
-				}
-				direct[t] += uint64(len(dsts))
-			}
-			accs[t].Sum += 2 * s
-			accs[t].Count += 2 * ev
-			accs[t].Zeros += 2 * zeros
-		}
-		dsts, counts = dsts[:0], counts[:0]
-	}
-	m.Visit(func(src, dst int32, n uint32) {
-		if src != curSrc {
-			flushRow()
-			curSrc = src
-		}
-		dsts = append(dsts, dst)
-		counts = append(counts, n)
-	})
-	flushRow()
-	for t := range dts {
-		topology.CountDistanceQueries(direct[t])
-	}
 }

@@ -1,7 +1,9 @@
 package commmat
 
 import (
+	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"sfcacd/internal/acd"
@@ -29,6 +31,8 @@ type Mutable struct {
 	over   map[uint64]uint32
 	events uint64
 	pairs  int
+	// csrBuf is the CSR buffer ContractTableMultiSym gathers into.
+	csrBuf csr
 }
 
 // maxScratchCells caps the band grid at 32 MiB of uint32.
@@ -83,25 +87,35 @@ func (m *Mutable) slot(src, dst int32) int {
 	return int(src)*m.stride + d
 }
 
-// Add records one canonical communication event.
+// Add records one canonical communication event. A pair whose count
+// would pass the uint32 range panics, naming the pair.
 func (m *Mutable) Add(src, dst int32) {
-	m.events++
 	if idx := m.slot(src, dst); idx >= 0 {
 		c := m.grid[idx]
+		if c == math.MaxUint32 {
+			countOverflow(src, dst)
+		}
 		m.grid[idx] = c + 1
 		if c == 0 {
 			m.bm[idx>>6] |= 1 << (uint(idx) & 63)
 			m.pairs++
 		}
+		m.events++
 		return
 	}
 	key := uint64(uint32(src))<<32 | uint64(uint32(dst))
 	if m.over == nil {
 		m.over = make(map[uint64]uint32)
 	}
-	if m.over[key]++; m.over[key] == 1 {
+	c := m.over[key]
+	if c == math.MaxUint32 {
+		countOverflow(src, dst)
+	}
+	m.over[key] = c + 1
+	if c == 0 {
 		m.pairs++
 	}
+	m.events++
 }
 
 // Sub retracts one previously added event. Retracting a pair with no
@@ -173,8 +187,8 @@ func (m *Mutable) sortedOverflow() []uint64 {
 
 // Visit calls fn for every pair with a nonzero count in ascending
 // (src, dst) order — the same order Matrix.Visit produces, which is
-// what makes the maintained matrix comparable against the from-scratch
-// build with Equal.
+// what makes the maintained matrix comparable pair by pair against the
+// from-scratch build.
 func (m *Mutable) Visit(fn func(src, dst int32, n uint32)) {
 	keys := m.sortedOverflow()
 	k := 0
@@ -211,10 +225,10 @@ func (m *Mutable) Visit(fn func(src, dst int32, n uint32)) {
 
 // Matrix materializes the current state as an immutable Matrix in the
 // exact form Builder.Finalize produces for the same stream (dense or
-// CSR by the same p threshold) — the bridge back to the batch
-// contraction paths and the differential oracle's comparison target.
-// The commmat build counters are not touched: the incremental layer
-// accounts its maintenance through its own metrics.
+// CSR by the same p threshold) — the bridge back to the batch paths
+// and the differential tests' comparison target. The commmat build
+// counters are not touched: the incremental layer accounts its
+// maintenance through its own metrics.
 func (m *Mutable) Matrix() *Matrix {
 	mat := &Matrix{p: m.p, events: m.events, pairs: m.pairs}
 	if m.p*m.p <= denseCells {
@@ -225,97 +239,45 @@ func (m *Mutable) Matrix() *Matrix {
 		mat.computeDiag()
 		return mat
 	}
-	mat.rowStart = append(mat.rowStart, 0)
-	mat.dsts = make([]int32, 0, m.pairs)
-	mat.counts = make([]uint32, 0, m.pairs)
-	m.Visit(func(src, dst int32, n uint32) {
-		if len(mat.rowSrc) == 0 || mat.rowSrc[len(mat.rowSrc)-1] != src {
-			mat.rowSrc = append(mat.rowSrc, src)
-			mat.rowStart = append(mat.rowStart, int32(len(mat.dsts)))
-		}
-		mat.dsts = append(mat.dsts, dst)
-		mat.counts = append(mat.counts, n)
-		mat.rowStart[len(mat.rowStart)-1] = int32(len(mat.dsts))
-	})
-	mat.computeDiag()
+	mat.csr, mat.diag = m.gather(csr{})
 	return mat
 }
 
-// ContractSym contracts the maintained matrix against a topology with
-// symmetric-canonical weighting (each pair counts both directions),
-// without materializing a Matrix.
-func (m *Mutable) ContractSym(t topology.Topology, acc *acd.Accumulator) {
+// gather collects the current pairs in CSR form into buf's storage,
+// reusing its capacity, and returns them with their diagonal event
+// total. It produces CSR whatever p is, so a contraction over it
+// announces each row's own pair count to the distance tables.
+func (m *Mutable) gather(buf csr) (csr, uint64) {
+	g := csr{
+		rowSrc:   buf.rowSrc[:0],
+		rowStart: append(buf.rowStart[:0], 0),
+		dsts:     slices.Grow(buf.dsts[:0], m.pairs),
+		counts:   slices.Grow(buf.counts[:0], m.pairs),
+	}
+	var diag uint64
 	m.Visit(func(src, dst int32, n uint32) {
-		acc.AddN(t.Distance(int(src), int(dst)), 2*int(n))
+		if len(g.rowSrc) == 0 || g.rowSrc[len(g.rowSrc)-1] != src {
+			g.rowSrc = append(g.rowSrc, src)
+			g.rowStart = append(g.rowStart, 0)
+		}
+		if dst == src {
+			diag += uint64(n)
+		}
+		g.dsts = append(g.dsts, dst)
+		g.counts = append(g.counts, n)
+		g.rowStart[len(g.rowStart)-1] = int32(len(g.dsts))
 	})
-	topology.CountDistanceQueries(uint64(m.pairs))
+	return g, diag
 }
 
-// ContractTableSym is ContractSym against a distance table: rows dense
-// enough for a table row contract with array indexing, the rest with
-// direct Distance calls (same policy as Matrix.ContractTableSym).
-func (m *Mutable) ContractTableSym(dt *topology.DistanceTable, acc *acd.Accumulator) {
-	t := dt.Underlying()
-	direct := uint64(0)
-	curSrc := int32(-1)
-	var dsts []int32
-	var counts []uint32
-	flushRow := func() {
-		if len(dsts) == 0 {
-			return
-		}
-		if row := dt.RowFor(int(curSrc), len(dsts)); row != nil {
-			for i, d := range dsts {
-				acc.AddN(int(row[d]), 2*int(counts[i]))
-			}
-		} else {
-			for i, d := range dsts {
-				acc.AddN(t.Distance(int(curSrc), int(d)), 2*int(counts[i]))
-			}
-			direct += uint64(len(dsts))
-		}
-		dsts, counts = dsts[:0], counts[:0]
-	}
-	m.Visit(func(src, dst int32, n uint32) {
-		if src != curSrc {
-			flushRow()
-			curSrc = src
-		}
-		dsts = append(dsts, dst)
-		counts = append(counts, n)
-	})
-	flushRow()
-	topology.CountDistanceQueries(direct)
-}
-
-// Equal reports whether two matrices hold identical aggregations: the
-// same rank count, total events, and per-pair counts. It is
-// form-insensitive — a dense and a CSR matrix compare equal when their
-// contents match — which lets differential oracles compare maintained
-// state against from-scratch builds byte-for-byte at the pair level.
-func Equal(a, b *Matrix) bool {
-	if a.p != b.p || a.events != b.events || a.pairs != b.pairs {
-		return false
-	}
-	type pair struct {
-		src, dst int32
-		n        uint32
-	}
-	as := make([]pair, 0, a.pairs)
-	a.Visit(func(src, dst int32, n uint32) {
-		as = append(as, pair{src, dst, n})
-	})
-	i := 0
-	ok := true
-	b.Visit(func(src, dst int32, n uint32) {
-		if !ok || i >= len(as) {
-			ok = false
-			return
-		}
-		if p := as[i]; p.src != src || p.dst != dst || p.n != n {
-			ok = false
-		}
-		i++
-	})
-	return ok && i == len(as)
+// ContractTableMultiSym contracts the maintained matrix against every
+// distance table with symmetric-canonical weighting (each pair counts
+// both directions), adding table k's contraction into accs[k]. The
+// pairs are gathered into a CSR buffer the Mutable reuses across calls
+// and contracted by Matrix's fused pass on the calling goroutine.
+func (m *Mutable) ContractTableMultiSym(dts []*topology.DistanceTable, accs []*acd.Accumulator) {
+	var diag uint64
+	m.csrBuf, diag = m.gather(m.csrBuf)
+	mat := Matrix{p: m.p, events: m.events, pairs: m.pairs, diag: diag, csr: m.csrBuf}
+	mat.contractTableMulti(dts, accs, 2, 1)
 }

@@ -1,9 +1,13 @@
 package commmat
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"sfcacd/internal/acd"
+	"sfcacd/internal/oracle"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/topology"
@@ -48,7 +52,7 @@ func TestMutableMatchesBuilder(t *testing.T) {
 		}
 		want := b.Finalize()
 		got := m.Matrix()
-		if !Equal(got, want) {
+		if !oracle.SameMatrix(got, want) {
 			t.Fatalf("p=%d: mutable matrix diverged from builder (events %d vs %d, pairs %d vs %d)",
 				p, got.Events(), want.Events(), got.Pairs(), want.Pairs())
 		}
@@ -81,7 +85,7 @@ func TestMutableSubRetractsExactly(t *testing.T) {
 		for _, pr := range base {
 			s.Add(pr[0], pr[1])
 		}
-		if !Equal(m.Matrix(), b.Finalize()) {
+		if !oracle.SameMatrix(m.Matrix(), b.Finalize()) {
 			t.Fatalf("p=%d: retraction left residue", p)
 		}
 	}
@@ -113,13 +117,14 @@ func TestMutableResetAndRefill(t *testing.T) {
 	for _, pr := range pairs {
 		s.Add(pr[0], pr[1])
 	}
-	if !Equal(m.Matrix(), b.Finalize()) {
+	if !oracle.SameMatrix(m.Matrix(), b.Finalize()) {
 		t.Fatalf("refill after Reset diverged from builder")
 	}
 }
 
-// TestMutableContractMatchesMatrix pins the in-place contractions
-// against the materialized Matrix's contraction.
+// TestMutableContractMatchesMatrix pins the Mutable's in-place
+// contraction against the per-pair reference, applied both to the
+// Mutable itself and to its materialized Matrix.
 func TestMutableContractMatchesMatrix(t *testing.T) {
 	p := 1024
 	curve, err := sfc.ByName("hilbert")
@@ -131,19 +136,44 @@ func TestMutableContractMatchesMatrix(t *testing.T) {
 	for _, pr := range randomCanonicalStream(p, 4000, 11) {
 		m.Add(pr[0], pr[1])
 	}
-	mat := m.Matrix()
-	var want acd.Accumulator
-	mat.ContractSym(torus, &want)
-	var got acd.Accumulator
-	m.ContractSym(torus, &got)
-	if got != want {
-		t.Fatalf("ContractSym: got %+v, want %+v", got, want)
+	want := oracle.Contract(m.Matrix(), torus, 2)
+	if got := oracle.Contract(m, torus, 2); got != want {
+		t.Fatalf("reference over Visit: got %+v, want %+v", got, want)
 	}
 	dt := topology.NewDistanceTable(torus)
 	var gotT acd.Accumulator
-	m.ContractTableSym(dt, &gotT)
+	m.ContractTableMultiSym([]*topology.DistanceTable{dt}, []*acd.Accumulator{&gotT})
 	if gotT != want {
-		t.Fatalf("ContractTableSym: got %+v, want %+v", gotT, want)
+		t.Fatalf("ContractTableMultiSym: got %+v, want %+v", gotT, want)
+	}
+}
+
+// TestMutableCountOverflowPanics: an Add that would pass the uint32
+// count range panics naming the pair, for a band-grid pair and for an
+// overflow-map pair alike, and leaves the counters untouched.
+func TestMutableCountOverflowPanics(t *testing.T) {
+	m := NewMutable(4096)
+	band, over := [2]int32{3, 7}, [2]int32{3, 4000}
+	if m.slot(band[0], band[1]) < 0 || m.slot(over[0], over[1]) >= 0 {
+		t.Fatalf("stride %d does not put %v in the band and %v past it", m.stride, band, over)
+	}
+	m.Add(band[0], band[1])
+	m.Add(over[0], over[1])
+	m.grid[m.slot(band[0], band[1])] = math.MaxUint32
+	m.over[uint64(over[0])<<32|uint64(over[1])] = math.MaxUint32
+	for _, pr := range [][2]int32{band, over} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("pair (%d, %d) overflows uint32", pr[0], pr[1])
+				if r, _ := recover().(string); !strings.Contains(r, want) {
+					t.Errorf("Add%v: panic %q, want one containing %q", pr, r, want)
+				}
+			}()
+			m.Add(pr[0], pr[1])
+		}()
+	}
+	if m.Events() != 2 || m.Pairs() != 2 {
+		t.Fatalf("overflowing Adds changed the counters: %d events, %d pairs", m.Events(), m.Pairs())
 	}
 }
 
@@ -168,7 +198,8 @@ func TestMutablePanics(t *testing.T) {
 	expectPanic("Sub of absent overflow pair", func() { big.Sub(0, 4000) })
 }
 
-// TestEqualDetectsDifferences spot-checks Equal's negative cases.
+// TestEqualDetectsDifferences spot-checks the matrix comparison's
+// negative cases.
 func TestEqualDetectsDifferences(t *testing.T) {
 	mk := func(pairs ...[2]int32) *Matrix {
 		m := NewMutable(16)
@@ -178,13 +209,13 @@ func TestEqualDetectsDifferences(t *testing.T) {
 		return m.Matrix()
 	}
 	a := mk([2]int32{1, 2}, [2]int32{1, 2}, [2]int32{3, 7})
-	if !Equal(a, mk([2]int32{1, 2}, [2]int32{3, 7}, [2]int32{1, 2})) {
+	if !oracle.SameMatrix(a, mk([2]int32{1, 2}, [2]int32{3, 7}, [2]int32{1, 2})) {
 		t.Fatalf("order-insensitive streams compared unequal")
 	}
-	if Equal(a, mk([2]int32{1, 2}, [2]int32{3, 7})) {
+	if oracle.SameMatrix(a, mk([2]int32{1, 2}, [2]int32{3, 7})) {
 		t.Fatalf("different event counts compared equal")
 	}
-	if Equal(a, mk([2]int32{1, 2}, [2]int32{1, 2}, [2]int32{3, 8})) {
+	if oracle.SameMatrix(a, mk([2]int32{1, 2}, [2]int32{1, 2}, [2]int32{3, 8})) {
 		t.Fatalf("different pair sets compared equal")
 	}
 }

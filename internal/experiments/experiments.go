@@ -103,6 +103,12 @@ func (p Params) Validate() error {
 	if p.Radius < 0 {
 		return fmt.Errorf("experiments: negative radius")
 	}
+	// No two cells of the grid are farther apart than 2*side under any
+	// metric, so a larger radius changes no result; rejecting it keeps
+	// the radius-sized neighbor-window buffers bounded.
+	if maxR := 2 * int(geom.Side(p.Order)); p.Radius > maxR {
+		return fmt.Errorf("experiments: radius %d exceeds %d, twice the grid side at order %d", p.Radius, maxR, p.Order)
+	}
 	if p.Workers < 0 {
 		return fmt.Errorf("experiments: negative worker count")
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sfcacd/internal/anns"
+	"sfcacd/internal/geom"
 	"sfcacd/internal/sfc"
 )
 
@@ -46,6 +47,21 @@ func TestParamsValidate(t *testing.T) {
 		t.Error("negative radius accepted")
 	}
 	bad = testParams
+	bad.Radius = 2*int(geom.Side(bad.Order)) + 1
+	if bad.Validate() == nil {
+		t.Error("radius past twice the grid side accepted")
+	}
+	ok := testParams
+	ok.Radius = 2 * int(geom.Side(ok.Order))
+	if err := ok.Validate(); err != nil {
+		t.Errorf("radius of twice the grid side rejected: %v", err)
+	}
+	bad = testParams
+	bad.Radius = 1 << 40
+	if bad.Validate() == nil {
+		t.Error("radius 2^40 accepted")
+	}
+	bad = testParams
 	bad.Order = 30
 	if bad.Validate() == nil {
 		t.Error("huge order accepted")
@@ -55,7 +71,7 @@ func TestParamsValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("processor order above the spatial order accepted")
 	}
-	ok := testParams
+	ok = testParams
 	ok.ProcOrder = ok.Order
 	if err := ok.Validate(); err != nil {
 		t.Errorf("processor order equal to the spatial order rejected: %v", err)

@@ -38,10 +38,10 @@ var metrics = []geom.Metric{geom.MetricChebyshev, geom.MetricManhattan}
 
 // checkAgainstOracle compares NFIMulti and FFIMulti on every topology
 // with the oracle, at worker counts 1, 3 and GOMAXPROCS. It also
-// contracts the matrices one topology at a time, through both the
-// interface and the table forms, so the symmetric (near field,
-// interaction list) and plain (interpolation) contractions are pinned
-// separately from the fused pass.
+// contracts the matrices one topology at a time, through the per-pair
+// reference (oracle.Contract) and a one-table fused pass, so the
+// symmetric (near field, interaction list) and plain (interpolation)
+// contractions are pinned separately from the six-table pass.
 func checkAgainstOracle(t *testing.T, name string, a *acd.Assignment, topos []topology.Topology) {
 	t.Helper()
 	workerCounts := []int{1, 3, runtime.GOMAXPROCS(0)}
@@ -56,9 +56,9 @@ func checkAgainstOracle(t *testing.T, name string, a *acd.Assignment, topos []to
 				got := NFIMulti(a, topos, opts)
 				mat := NFIMatrix(a, opts)
 				for i, topo := range topos {
-					var viaSym, viaTable acd.Accumulator
-					mat.ContractSym(topo, &viaSym)
-					mat.ContractTableSym(topology.NewDistanceTable(topo), &viaTable)
+					viaSym := oracle.Contract(mat, topo, 2)
+					var viaTable acd.Accumulator
+					mat.ContractTableMultiSym(oneTable(topo), []*acd.Accumulator{&viaTable}, w)
 					if got[i] != want[i] || viaSym != want[i] || viaTable != want[i] {
 						t.Errorf("%s r=%d %s workers=%d %s: NFI fused %+v / sym %+v / table %+v, oracle %+v",
 							name, radius, m, w, topo.Name(), got[i], viaSym, viaTable, want[i])
@@ -75,15 +75,23 @@ func checkAgainstOracle(t *testing.T, name string, a *acd.Assignment, topos []to
 		got := FFIMulti(a, topos, FFIOptions{Workers: w})
 		ms := FFIMatricesFromIndex(a.KeyIndex(), a.P, w)
 		for i, topo := range topos {
-			var interp, il acd.Accumulator
-			ms.Interpolation.Contract(topo, &interp)
-			ms.InteractionList.ContractSym(topo, &il)
-			if got[i] != want[i] || interp != want[i].Interpolation || il != want[i].InteractionList {
-				t.Errorf("%s workers=%d %s: FFI fused %+v / per-topology interp %+v il %+v, oracle %+v",
-					name, w, topo.Name(), got[i], interp, il, want[i])
+			interp, il := oracle.Contract(ms.Interpolation, topo, 1), oracle.Contract(ms.InteractionList, topo, 2)
+			var interpT, ilT acd.Accumulator
+			ms.Interpolation.ContractTableMulti(oneTable(topo), []*acd.Accumulator{&interpT}, w)
+			ms.InteractionList.ContractTableMultiSym(oneTable(topo), []*acd.Accumulator{&ilT}, w)
+			if got[i] != want[i] || interp != want[i].Interpolation || il != want[i].InteractionList ||
+				interpT != want[i].Interpolation || ilT != want[i].InteractionList {
+				t.Errorf("%s workers=%d %s: FFI fused %+v / per-topology interp %+v %+v il %+v %+v, oracle %+v",
+					name, w, topo.Name(), got[i], interp, interpT, il, ilT, want[i])
 			}
 		}
 	}
+}
+
+// oneTable wraps a topology in a fresh single-entry distance-table
+// list for a one-table fused pass.
+func oneTable(topo topology.Topology) []*topology.DistanceTable {
+	return []*topology.DistanceTable{topology.NewDistanceTable(topo)}
 }
 
 // TestDifferentialMatrixVsDirect sweeps seeds x particle curves x radii
@@ -138,8 +146,9 @@ func TestDifferentialKeysEngine(t *testing.T) {
 
 // TestNFIMatrixContractsExactly pins the symmetric-canonical
 // convention at the matrix level: every stored pair has src <= dst,
-// and contracting the canonical matrix with the Sym variants
-// reproduces the ordered stream of the oracle.
+// and contracting the canonical matrix with both-direction weighting —
+// by the per-pair reference and by a one-table fused pass — reproduces
+// the ordered stream of the oracle.
 func TestNFIMatrixContractsExactly(t *testing.T) {
 	const order = 6
 	pts, err := dist.SampleUnique(dist.Normal, rng.New(9), order, 500)
@@ -157,13 +166,12 @@ func TestNFIMatrixContractsExactly(t *testing.T) {
 		}
 	})
 	for _, topo := range allTopologies() {
-		var viaSym acd.Accumulator
-		m.ContractSym(topo, &viaSym)
+		viaSym := oracle.Contract(m, topo, 2)
 		var viaTable acd.Accumulator
-		m.ContractTableSym(topology.NewDistanceTable(topo), &viaTable)
+		m.ContractTableMultiSym(oneTable(topo), []*acd.Accumulator{&viaTable}, 1)
 		want := oracle.NFI(a, topo, 1, geom.MetricChebyshev)
 		if viaSym != want || viaTable != want {
-			t.Errorf("%s: ContractSym %+v / table %+v != oracle %+v", topo.Name(), viaSym, viaTable, want)
+			t.Errorf("%s: reference %+v / one-table fused %+v != oracle %+v", topo.Name(), viaSym, viaTable, want)
 		}
 	}
 }

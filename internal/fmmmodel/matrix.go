@@ -33,7 +33,7 @@ import (
 // particle pair within opts.Radius contributes one event between the
 // owning ranks, keyed with the smaller rank as source. The pairs come
 // from a row sweep over the assignment's shared occupancy index.
-// Contract with the Sym variants; each pair then counts once per
+// Contract with ContractTableMultiSym; each pair then counts once per
 // direction, exactly reproducing the ordered near-field stream.
 func NFIMatrix(a *acd.Assignment, opts NFIOptions) *commmat.Matrix {
 	defer obs.StartSpan("commmat.build.nfi").End()
@@ -82,7 +82,7 @@ type FFIMatrices struct {
 	Interpolation *commmat.Matrix
 	// InteractionList aggregates the well-separated cell exchanges of
 	// every level in symmetric-canonical form (each unordered cell pair
-	// once, smaller rank as source); contract with the Sym variants.
+	// once, smaller rank as source); contract with ContractTableMultiSym.
 	InteractionList *commmat.Matrix
 }
 
@@ -198,8 +198,7 @@ func distanceTableFor(t topology.Topology) *topology.DistanceTable {
 // topology in a single fused pass through cached per-topology distance
 // tables: each distinct pair is read once and evaluated against all K
 // tables, with parallelism inside the matrix (bounded by workers)
-// instead of one goroutine per topology. The fused pass is
-// byte-identical to the per-topology ContractTableSym loop at any
+// instead of one goroutine per topology. Results are identical at any
 // worker count.
 func contractAll(m *commmat.Matrix, topos []topology.Topology, workers int) []acd.Accumulator {
 	defer obs.StartSpan("commmat.contract").End()

@@ -53,10 +53,9 @@ func FFIMulti(a *acd.Assignment, topos []topology.Topology, opts FFIOptions) []F
 // ContractAll contracts the far-field matrices against every topology
 // in one fused pass per matrix, through the cached per-topology
 // distance tables. Parallelism lives inside each matrix and is bounded
-// by workers (the old per-topology goroutine fan-out ignored the cap);
-// results are byte-identical to per-topology ContractTable loops at
-// any worker count. The anterpolation accumulator reuses the
-// interpolation contraction because hop distance is symmetric.
+// by workers; results are identical at any worker count. The
+// anterpolation accumulator reuses the interpolation contraction
+// because hop distance is symmetric.
 func (ms FFIMatrices) ContractAll(topos []topology.Topology, workers int) []FFIResult {
 	res := make([]FFIResult, len(topos))
 	if len(topos) == 0 {

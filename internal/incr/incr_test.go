@@ -92,19 +92,19 @@ func TestStateMatchesOracleEveryTick(t *testing.T) {
 				if _, err := s.Tick(pts); err != nil {
 					t.Fatalf("%s/%v tick %d: %v", curveName, metric, tick, err)
 				}
-				want, oracle := oracleMatrix(t, pts, curve, order, p, radius, metric)
-				if !commmat.Equal(s.Matrix(), want) {
+				want, wantA := oracleMatrix(t, pts, curve, order, p, radius, metric)
+				if !oracle.SameMatrix(s.Matrix(), want) {
 					t.Fatalf("%s/%v tick %d: maintained matrix diverged from oracle", curveName, metric, tick)
 				}
 				got, err := s.Assignment()
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i := range oracle.Particles {
-					if got.Particles[i] != oracle.Particles[i] || got.Ranks[i] != oracle.Ranks[i] {
+				for i := range wantA.Particles {
+					if got.Particles[i] != wantA.Particles[i] || got.Ranks[i] != wantA.Ranks[i] {
 						t.Fatalf("%s/%v tick %d: assignment position %d = (%v,%d), oracle (%v,%d)",
 							curveName, metric, tick, i, got.Particles[i], got.Ranks[i],
-							oracle.Particles[i], oracle.Ranks[i])
+							wantA.Particles[i], wantA.Ranks[i])
 					}
 				}
 			}
@@ -146,7 +146,7 @@ func TestStateRepartitionTick(t *testing.T) {
 		t.Fatalf("Repartitions = %d, want 1", s.Repartitions())
 	}
 	want, _ := oracleMatrix(t, flipped, curve, order, p, radius, geom.MetricChebyshev)
-	if !commmat.Equal(s.Matrix(), want) {
+	if !oracle.SameMatrix(s.Matrix(), want) {
 		t.Fatal("matrix diverged after repartition tick")
 	}
 	// A quiet tick after the storm: gauge 0 < Lo releases the rebuild
@@ -164,7 +164,7 @@ func TestStateRepartitionTick(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ = oracleMatrix(t, moved, curve, order, p, radius, geom.MetricChebyshev)
-	if !commmat.Equal(s.Matrix(), want) {
+	if !oracle.SameMatrix(s.Matrix(), want) {
 		t.Fatal("matrix diverged after post-repartition delta tick")
 	}
 	s.Release()
@@ -204,7 +204,7 @@ func TestForceRebuildParity(t *testing.T) {
 		if a != b {
 			t.Fatalf("tick %d: delta stats %+v, rebuild stats %+v", tick, a, b)
 		}
-		if !commmat.Equal(delta.Matrix(), rebuild.Matrix()) {
+		if !oracle.SameMatrix(delta.Matrix(), rebuild.Matrix()) {
 			t.Fatalf("tick %d: mechanisms disagree on the matrix", tick)
 		}
 	}
@@ -275,9 +275,9 @@ func TestStateRejectsBadInput(t *testing.T) {
 
 // TestStateACDMultiMatchesPerTable is the incremental layer's fused
 // Mutable contraction oracle: ACDMulti over all six topology kinds
-// must return, per table, exactly what the sequential single-table
-// path (ACD, which delegates to Mutable.ContractTableSym) produces on
-// an identically fresh table.
+// must return, per table, exactly what the single-table path (ACD)
+// produces on an identically fresh table, and what the per-pair
+// reference contraction of the maintained matrix gives.
 func TestStateACDMultiMatchesPerTable(t *testing.T) {
 	curve, err := sfc.ByName("hilbert")
 	if err != nil {
@@ -314,6 +314,9 @@ func TestStateACDMultiMatchesPerTable(t *testing.T) {
 		if fused[i] != want {
 			t.Fatalf("%s: fused ACDMulti %+v != sequential ACD %+v",
 				topo.Name(), fused[i], want)
+		}
+		if ref := oracle.Contract(s.Matrix(), topo, 2); want != ref {
+			t.Fatalf("%s: ACD %+v != reference contraction %+v", topo.Name(), want, ref)
 		}
 	}
 }

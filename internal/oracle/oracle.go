@@ -7,8 +7,10 @@
 // with the optimized path: a cell->rank map probed over the full
 // (2r+1)^2 window of every particle, per-level minimum-rank maps, the
 // interaction list enumerated from the parent-adjacency definition, and
-// one topo.Distance call per event. Only _test.go files import the
-// package; no binary may depend on it.
+// one topo.Distance call per event. The matrix references (Contract,
+// SameMatrix) read a matrix through a small interface, so the package
+// never imports internal/commmat and commmat's own tests can use it.
+// Only _test.go files import the package; no binary may depend on it.
 package oracle
 
 import (
@@ -198,4 +200,41 @@ func FFI(a *acd.Assignment, topo topology.Topology) FFIResult {
 		accs[kind].Add(topo.Distance(int(src), int(dst)))
 	})
 	return res
+}
+
+// Matrix is the read surface of a communication matrix that the
+// matrix references below need: commmat's Matrix and Mutable both
+// provide it. Visit must yield every pair with a nonzero count once.
+type Matrix interface {
+	P() int
+	Events() uint64
+	Pairs() int
+	Visit(fn func(src, dst int32, n uint32))
+}
+
+// Contract is a matrix contraction by definition: every pair's count,
+// times weight, events of one topo.Distance each.
+func Contract(m Matrix, topo topology.Topology, weight int) acd.Accumulator {
+	var acc acd.Accumulator
+	m.Visit(func(src, dst int32, n uint32) {
+		acc.AddN(topo.Distance(int(src), int(dst)), weight*int(n))
+	})
+	return acc
+}
+
+// SameMatrix reports whether two matrices hold the same aggregation:
+// the same rank count, event total, and per-pair counts in the same
+// Visit order. Storage form does not matter.
+func SameMatrix(a, b Matrix) bool {
+	if a.P() != b.P() || a.Events() != b.Events() || a.Pairs() != b.Pairs() {
+		return false
+	}
+	type pair struct {
+		src, dst int32
+		n        uint32
+	}
+	var as, bs []pair
+	a.Visit(func(src, dst int32, n uint32) { as = append(as, pair{src, dst, n}) })
+	b.Visit(func(src, dst int32, n uint32) { bs = append(bs, pair{src, dst, n}) })
+	return slices.Equal(as, bs)
 }

@@ -36,6 +36,33 @@ func TestHandlerRejectsProcOrderAboveOrder(t *testing.T) {
 	}
 }
 
+// TestHandlerRejectsRadiusPastGrid pins that a radius beyond twice the
+// grid side is a 400 both as a single request and as a batch cell, and
+// that the daemon keeps serving afterwards. Such a request once sized
+// a neighbor-window buffer by the radius and ran the process out of
+// memory.
+func TestHandlerRejectsRadiusPastGrid(t *testing.T) {
+	h := NewHandler(New(Options{Workers: 1}))
+	const body = `{"Particles":400,"Order":5,"ProcOrder":2,"Trials":1,"Radius":1099511627776}`
+	rec := postExperiment(t, h, "/v1/experiments/table12", body)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "radius") {
+		t.Fatalf("single request: status %d body %s, want 400 naming the radius", rec.Code, rec.Body)
+	}
+	rec = postExperiment(t, h, "/v1/batch",
+		`{"experiments":["table12"],"params":`+body+`,"sweep":{"Seed":[1,2]}}`)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("batch: status %d body %s, want 400", rec.Code, rec.Body)
+	}
+	health := httptest.NewRecorder()
+	h.ServeHTTP(health, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if health.Code != http.StatusOK {
+		t.Fatalf("/healthz status %d after the rejected requests", health.Code)
+	}
+	if rec := postExperiment(t, h, "/v1/experiments/table12", tinyBody); rec.Code != http.StatusOK {
+		t.Fatalf("valid request after the rejected ones: status %d", rec.Code)
+	}
+}
+
 // TestHandlerLegacyEngineField pins the retired NFIEngine field: every
 // old spelling decodes, validates, and is served from the same cache
 // entry, with the same key and result bytes, as a request without it.

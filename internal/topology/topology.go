@@ -8,9 +8,9 @@
 // sits at the grid cell the curve visits at position i. The remaining
 // topologies use natural rank labels, as in the paper.
 //
-// Every distance function is analytic (O(1) or O(log p)); the flat
-// networks also expose their adjacency so tests can cross-verify the
-// analytic distances against BFS.
+// Every distance function is analytic (O(1) or O(log p)); the tests
+// cross-verify them against BFS over each flat network's links, which
+// only the test files list.
 package topology
 
 import (
@@ -50,13 +50,6 @@ type Topology interface {
 	// processors ranked a and b. It is a metric: symmetric, zero iff
 	// a == b, and satisfies the triangle inequality.
 	Distance(a, b int) int
-}
-
-// NeighborLister is implemented by topologies whose processors are the
-// only network nodes, exposing direct links for BFS verification.
-type NeighborLister interface {
-	// Neighbors appends the ranks adjacent to p to buf and returns it.
-	Neighbors(p int, buf []int) []int
 }
 
 // checkRank is the cold path of the Distance guards: callers test the
@@ -102,18 +95,6 @@ func (b *Bus) Distance(x, y int) int {
 	return y - x
 }
 
-// Neighbors implements NeighborLister.
-func (b *Bus) Neighbors(p int, buf []int) []int {
-	checkRank(b, p)
-	if p > 0 {
-		buf = append(buf, p-1)
-	}
-	if p < b.n-1 {
-		buf = append(buf, p+1)
-	}
-	return buf
-}
-
 // --- Ring ---
 
 // Ring is a bus with an extra wrap link between the first and last
@@ -150,21 +131,6 @@ func (r *Ring) Distance(x, y int) int {
 		return wrap
 	}
 	return d
-}
-
-// Neighbors implements NeighborLister.
-func (r *Ring) Neighbors(p int, buf []int) []int {
-	checkRank(r, p)
-	if r.n == 1 {
-		return buf
-	}
-	prev := (p - 1 + r.n) % r.n
-	next := (p + 1) % r.n
-	buf = append(buf, prev)
-	if next != prev {
-		buf = append(buf, next)
-	}
-	return buf
 }
 
 // --- Mesh and Torus ---
@@ -214,36 +180,6 @@ func (g *gridNet) Side() uint32 { return g.side }
 // Placement returns the name of the processor-order curve.
 func (g *gridNet) Placement() string { return g.placement }
 
-func (g *gridNet) gridNeighbors(p int, wrap bool, buf []int) []int {
-	c := g.coords[p]
-	side := int(g.side)
-	if side == 1 {
-		return buf
-	}
-	deltas := [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}}
-	for _, d := range deltas {
-		x, y := int(c.X)+d[0], int(c.Y)+d[1]
-		if wrap {
-			x = (x + side) % side
-			y = (y + side) % side
-		} else if !geom.InBounds(x, y, g.side) {
-			continue
-		}
-		n := g.RankAt(geom.Pt(uint32(x), uint32(y)))
-		dup := false
-		for _, v := range buf {
-			if v == n {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			buf = append(buf, n)
-		}
-	}
-	return buf
-}
-
 // Mesh is the 2D mesh/grid topology: a square grid of processors with
 // links between horizontal and vertical neighbors.
 type Mesh struct {
@@ -270,12 +206,6 @@ func (m *Mesh) Distance(a, b int) int {
 		checkRank(m, b)
 	}
 	return geom.Manhattan(m.coords[a], m.coords[b])
-}
-
-// Neighbors implements NeighborLister.
-func (m *Mesh) Neighbors(p int, buf []int) []int {
-	checkRank(m, p)
-	return m.gridNeighbors(p, false, buf)
 }
 
 // torusLUTMaxSide bounds the delta-distance table: a side x side grid
@@ -337,12 +267,6 @@ func wrapDist(a, b, side uint32) int {
 	return int(d)
 }
 
-// Neighbors implements NeighborLister.
-func (t *Torus) Neighbors(p int, buf []int) []int {
-	checkRank(t, p)
-	return t.gridNeighbors(p, true, buf)
-}
-
 // --- Hypercube ---
 
 // Hypercube is the classical binary hypercube: p = 2^dims processors,
@@ -372,15 +296,6 @@ func (h *Hypercube) Distance(a, b int) int {
 		checkRank(h, b)
 	}
 	return bits.OnesCount32(uint32(a) ^ uint32(b))
-}
-
-// Neighbors implements NeighborLister.
-func (h *Hypercube) Neighbors(p int, buf []int) []int {
-	checkRank(h, p)
-	for d := uint(0); d < h.dims; d++ {
-		buf = append(buf, p^(1<<d))
-	}
-	return buf
 }
 
 // --- Quadtree network ---

@@ -83,12 +83,6 @@ func (m *Mesh3D) Distance(a, b int) int {
 	return geom3.Manhattan(m.coords[a], m.coords[b])
 }
 
-// Neighbors implements NeighborLister.
-func (m *Mesh3D) Neighbors(p int, buf []int) []int {
-	checkRank(m, p)
-	return m.neighbors3(p, false, buf)
-}
-
 // Torus3D is the 3D torus: the mesh plus wrap links per dimension.
 type Torus3D struct {
 	grid3D
@@ -113,41 +107,6 @@ func (t *Torus3D) Distance(a, b int) int {
 	checkRank(t, b)
 	ca, cb := t.coords[a], t.coords[b]
 	return wrapDist(ca.X, cb.X, t.side) + wrapDist(ca.Y, cb.Y, t.side) + wrapDist(ca.Z, cb.Z, t.side)
-}
-
-// Neighbors implements NeighborLister.
-func (t *Torus3D) Neighbors(p int, buf []int) []int {
-	checkRank(t, p)
-	return t.neighbors3(p, true, buf)
-}
-
-func (g *grid3D) neighbors3(p int, wrap bool, buf []int) []int {
-	c := g.coords[p]
-	side := int(g.side)
-	if side == 1 {
-		return buf
-	}
-	deltas := [6][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}}
-	for _, d := range deltas {
-		x, y, z := int(c.X)+d[0], int(c.Y)+d[1], int(c.Z)+d[2]
-		if wrap {
-			x, y, z = (x+side)%side, (y+side)%side, (z+side)%side
-		} else if !geom3.InBounds(x, y, z, g.side) {
-			continue
-		}
-		n := g.RankAt(geom3.Pt3(uint32(x), uint32(y), uint32(z)))
-		dup := false
-		for _, v := range buf {
-			if v == n {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			buf = append(buf, n)
-		}
-	}
-	return buf
 }
 
 // OctreeNet is the 3D analog of the quadtree network: p = 8^levels
