@@ -193,24 +193,33 @@ type Shard struct {
 
 // Add records one communication event from src to dst. Both must be in
 // [0, p); an out-of-range pair panics, naming the pair.
-func (s *Shard) Add(src, dst int32) {
+func (s *Shard) Add(src, dst int32) { s.AddN(src, dst, 1) }
+
+// AddN records n communication events from src to dst, exactly as n
+// calls of Add would: one checked add to the pair's cell in the dense
+// form, n log entries otherwise (so the fold sees the same stream).
+// An out-of-range pair panics, naming it, whatever n is; n = 0 records
+// nothing.
+func (s *Shard) AddN(src, dst int32, n uint32) {
 	if uint32(src) >= s.p || uint32(dst) >= s.p {
 		panic(fmt.Sprintf("commmat: pair (%d, %d) out of range for %d ranks", src, dst, s.p))
 	}
 	if s.cells != nil {
 		i := int(src)*int(s.p) + int(dst)
 		c := s.cells[i]
-		if c == math.MaxUint32 {
+		if c > math.MaxUint32-n {
 			countOverflow(src, dst)
 		}
-		s.cells[i] = c + 1
+		s.cells[i] = c + n
 		return
 	}
-	if len(s.log) == logCap {
-		s.drain()
+	for ; n > 0; n-- {
+		if len(s.log) == logCap {
+			s.drain()
+		}
+		s.log = append(s.log, uint64(src)<<32|uint64(dst))
+		s.hist[src]++
 	}
-	s.log = append(s.log, uint64(src)<<32|uint64(dst))
-	s.hist[src]++
 }
 
 // drain folds the full log into a new sorted run and empties the log.

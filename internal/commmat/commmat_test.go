@@ -213,6 +213,54 @@ func TestBuilderRejectsOutOfRange(t *testing.T) {
 	}
 }
 
+// TestShardAddNMatchesAdds: a weighted AddN records exactly what n
+// repeated Adds do, in the dense form and in the logged form with a
+// log small enough that single AddN calls straddle drains. Weights
+// include 0, which records nothing; an out-of-range pair panics naming
+// it whatever the weight.
+func TestShardAddNMatchesAdds(t *testing.T) {
+	defer func(c int) { logCap = c }(logCap)
+	logCap = 7
+	for _, p := range []int{64, 512, 600, 4096} {
+		events := randomEvents(int64(p)+3, p, 4000)
+		rng := rand.New(rand.NewSource(int64(p)))
+		weights := make([]uint32, len(events))
+		for i := range weights {
+			weights[i] = uint32(rng.Intn(17))
+		}
+		for _, workers := range []int{1, 3} {
+			bn, b1 := NewBuilder(p, workers), NewBuilder(p, workers)
+			for i, e := range events {
+				bn.Shard(i%workers).AddN(e[0], e[1], weights[i])
+				for range weights[i] {
+					b1.Shard(i%workers).Add(e[0], e[1])
+				}
+			}
+			got, want := bn.Finalize(), b1.Finalize()
+			if !oracle.SameMatrix(got, want) || got.diag != want.diag {
+				t.Fatalf("p=%d workers=%d: AddN matrix (%d events, %d pairs) != repeated Add (%d, %d)",
+					p, workers, got.Events(), got.Pairs(), want.Events(), want.Pairs())
+			}
+		}
+		b := NewBuilder(p, 1)
+		b.Shard(0).AddN(1, 2, 0)
+		if m := b.Finalize(); m.Events() != 0 || m.Pairs() != 0 {
+			t.Fatalf("p=%d: AddN with n = 0 recorded %d events", p, m.Events())
+		}
+		for _, n := range []uint32{0, 3} {
+			func() {
+				defer func() {
+					want := fmt.Sprintf("pair (%d, %d)", p, 0)
+					if r, _ := recover().(string); !strings.Contains(r, want) {
+						t.Errorf("p=%d AddN(%d, 0, %d): panic %q, want one naming %q", p, p, n, r, want)
+					}
+				}()
+				NewBuilder(p, 1).Shard(0).AddN(int32(p), 0, n)
+			}()
+		}
+	}
+}
+
 // TestCountOverflowPanics feeds weighted runs and near-full dense
 // counts at the edge of the uint32 range: reaching MaxUint32 exactly is
 // fine, one event past it panics naming the pair.
@@ -243,6 +291,15 @@ func TestCountOverflowPanics(t *testing.T) {
 	expectOverflow("run+log", func() {
 		fold(p, [][]uint64{{3<<32 | 7}}, [][]uint32{hist}, []csr{run(3, 7, math.MaxUint32)})
 	})
+
+	bn := NewBuilder(64, 1)
+	bn.Shard(0).cells[3*64+7] = math.MaxUint32 - 5
+	bn.Shard(0).AddN(3, 7, 5)
+	if c := bn.Shard(0).cells[3*64+7]; c != math.MaxUint32 {
+		t.Fatalf("dense AddN exact fill: count %d", c)
+	}
+	bn.Shard(0).cells[3*64+7] = math.MaxUint32 - 5
+	expectOverflow("dense AddN", func() { bn.Shard(0).AddN(3, 7, 6) })
 
 	b := NewBuilder(64, 2)
 	b.Shard(0).cells[3*64+7] = math.MaxUint32

@@ -25,19 +25,26 @@ func VisitNFIPairs(a *acd.Assignment, opts NFIOptions, fn func(src, dst int32)) 
 // VisitFFIPairs calls fn for every far-field communication: once per
 // interpolation link (child representative -> parent representative),
 // once per anterpolation link (the reverse), and once per
-// interaction-list exchange in each direction.
+// interaction-list exchange in each direction. The index reports
+// single-representative child groups as weighted events, which are
+// expanded here, so the events come grouped per parent cell rather
+// than per child.
 func VisitFFIPairs(a *acd.Assignment, fn func(src, dst int32)) {
 	ix := a.KeyIndex()
 	for l := ix.Order; l >= 1; l-- {
-		ix.VisitParentLinks(l, 0, ix.LevelLen(l), func(parent, rep int32) {
-			fn(rep, parent) // interpolation
-			fn(parent, rep) // anterpolation
+		ix.VisitParentLinks(l, 0, ix.LevelLen(l-1), func(parent, rep int32, n uint32) {
+			for range n {
+				fn(rep, parent) // interpolation
+				fn(parent, rep) // anterpolation
+			}
 		})
 	}
 	for l := uint(2); l <= ix.Order; l++ {
-		ix.VisitUpperILPairs(l, 0, ix.LevelLen(l-1), func(rep, other int32) {
-			fn(rep, other)
-			fn(other, rep)
+		ix.VisitUpperILPairs(l, 0, ix.LevelLen(l-1), func(rep, other int32, n uint32) {
+			for range n {
+				fn(rep, other)
+				fn(other, rep)
+			}
 		})
 	}
 }

@@ -105,6 +105,8 @@ func FFIMatricesFromIndex(ix *keynav.Index, p, workers int) FFIMatrices {
 		interaction bool
 	}
 	var tasks []task
+	// Both streams are enumerated per parent, so work is chunked over
+	// the parent level's positions.
 	chunkTasks := func(level uint, m int, interaction bool) {
 		chunk := m / (4 * workers)
 		if chunk == 0 {
@@ -119,10 +121,8 @@ func FFIMatricesFromIndex(ix *keynav.Index, p, workers int) FFIMatrices {
 		}
 	}
 	for l := ix.Order; l >= 1; l-- {
-		chunkTasks(l, ix.LevelLen(l), false)
+		chunkTasks(l, ix.LevelLen(l-1), false)
 	}
-	// Interaction-list work is keyed by the parent level: pairs are
-	// enumerated from their row-major-lower parent.
 	for l := uint(2); l <= ix.Order; l++ {
 		chunkTasks(l, ix.LevelLen(l-1), true)
 	}
@@ -135,18 +135,18 @@ func FFIMatricesFromIndex(ix *keynav.Index, p, workers int) FFIMatrices {
 			si, sl := bi.Shard(w), bl.Shard(w)
 			for t := range ch {
 				if t.interaction {
-					ix.VisitUpperILPairs(t.level, t.lo, t.hi, func(rep, other int32) {
+					ix.VisitUpperILPairs(t.level, t.lo, t.hi, func(rep, other int32, n uint32) {
 						if other < rep {
-							sl.Add(other, rep)
+							sl.AddN(other, rep, n)
 						} else {
-							sl.Add(rep, other)
+							sl.AddN(rep, other, n)
 						}
 					})
 				} else {
 					// Parent representatives are minima over children, so
 					// (parent, child) is already canonical.
-					ix.VisitParentLinks(t.level, t.lo, t.hi, func(parent, rep int32) {
-						si.Add(parent, rep)
+					ix.VisitParentLinks(t.level, t.lo, t.hi, func(parent, rep int32, n uint32) {
+						si.AddN(parent, rep, n)
 					})
 				}
 			}

@@ -1,6 +1,7 @@
 package fmmmodel
 
 import (
+	"fmt"
 	"testing"
 
 	"sfcacd/internal/acd"
@@ -130,5 +131,36 @@ func TestKeysEngineWorkerInvariance(t *testing.T) {
 				t.Errorf("workers=%d %s: FFI %+v != single-worker %+v", workers, topos[i].Name(), ffi[i], ffiBase[i])
 			}
 		}
+	}
+}
+
+// BenchmarkFFIMatricesFromIndex times the far-field matrix build from
+// a ready key index: the Figure 6 shape scaled down (64 ranks over a
+// sparse order-10 grid, where nearly every child group has one
+// representative and collapses) and the scaled table12 shape (4,096
+// ranks, where many groups straddle a rank boundary).
+func BenchmarkFFIMatricesFromIndex(b *testing.B) {
+	for _, tc := range []struct {
+		order uint
+		n, p  int
+	}{{10, 62500, 64}, {8, 15625, 4096}} {
+		pts, err := dist.SampleUnique(dist.Uniform, rng.New(uint64(tc.n)), tc.order, tc.n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		a, err := acd.Assign(pts, sfc.Hilbert, tc.order, tc.p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ix := a.KeyIndex()
+		b.Run(fmt.Sprintf("order%d_n%d_p%d", tc.order, tc.n, tc.p), func(b *testing.B) {
+			b.ReportAllocs()
+			var events uint64
+			for i := 0; i < b.N; i++ {
+				ms := FFIMatricesFromIndex(ix, tc.p, 0)
+				events = ms.Interpolation.Events() + ms.InteractionList.Events()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
+		})
 	}
 }

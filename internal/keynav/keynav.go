@@ -38,16 +38,25 @@ var buildCounter = obs.GetCounter("keynav.builds")
 
 // level is one resolution level of the index: occupied cells as sorted
 // level keys, their representative ranks, the start of each cell's
-// child group in the next-finer level, and a radix directory over the
-// keys. At the finest level keys/reps alias the particle arrays and
-// childStart is nil.
+// child group in the next-finer level, each cell's child summary byte,
+// and a radix directory over the keys. At the finest level keys/reps
+// alias the particle arrays and childStart and sub are unused.
 type level struct {
 	keys       []uint64
 	reps       []int32
 	childStart []int32 // len(keys)+1; indices into the next-finer level
+	sub        []uint8 // len(keys); subMask occupancy bits | subUniform
 	dir        []int32 // len (1<<dirBits)+1; bucket b covers dir[b]..dir[b+1]
 	shift      uint    // key -> directory bucket shift
 }
+
+// A cell's sub byte summarizes its child group: bits 0-3 flag the
+// occupied child sub-positions (the low two child key bits), and
+// subUniform is set when every child has the cell's representative.
+const (
+	subMask    = 0x0f
+	subUniform = 0x80
+)
 
 // find returns the position of key k in the level, or -1. The
 // directory narrows the search to one bucket (a few entries), so the
@@ -241,17 +250,23 @@ func (ix *Index) buildLevels() {
 		dst.keys = grow(dst.keys, len(src.keys))[:0]
 		dst.reps = grow(dst.reps, len(src.keys))[:0]
 		dst.childStart = grow(dst.childStart, len(src.keys)+1)[:0]
+		dst.sub = grow(dst.sub, len(src.keys))[:0]
 		for i, k := range src.keys {
 			pk := k >> 2
 			if j := len(dst.keys) - 1; j >= 0 && dst.keys[j] == pk {
-				if r := src.reps[i]; r < dst.reps[j] {
-					dst.reps[j] = r
+				dst.sub[j] |= 1 << (k & 3)
+				// A child rank that differs from the running minimum
+				// means the children do not all share one rank.
+				if r := src.reps[i]; r != dst.reps[j] {
+					dst.sub[j] &^= subUniform
+					dst.reps[j] = min(dst.reps[j], r)
 				}
 				continue
 			}
 			dst.keys = append(dst.keys, pk)
 			dst.reps = append(dst.reps, src.reps[i])
 			dst.childStart = append(dst.childStart, int32(i))
+			dst.sub = append(dst.sub, subUniform|1<<(k&3))
 		}
 		dst.childStart = append(dst.childStart, int32(len(src.keys)))
 		dst.buildDir(2 * uint(l))
@@ -349,24 +364,28 @@ func (ix *Index) VisitUpperNeighborPairs(lo, hi, radius int, m geom.Metric, fn f
 	}
 }
 
-// VisitParentLinks calls fn(parentRep, rep) for every occupied cell in
-// positions [lo, hi) of level l >= 1 — the interpolation link stream.
-// The parent level is walked in lockstep (both levels are sorted by
-// key and children form contiguous groups), so after one search to
-// place the cursor the pass is two linear scans.
-func (ix *Index) VisitParentLinks(l uint, lo, hi int, fn func(parentRep, rep int32)) {
-	if l < 1 || lo >= hi {
+// VisitParentLinks calls fn(parentRep, rep, n) for the occupied cells
+// of level l >= 1 whose parents lie in positions [plo, phi) of level
+// l-1 — the interpolation link stream, n links at a time. A uniform
+// parent (every child has its representative) reports its whole child
+// group as one weighted self-link; any other parent reports each child
+// link once. Child groups are contiguous in the level-l slab, so the
+// pass is one linear scan.
+func (ix *Index) VisitParentLinks(l uint, plo, phi int, fn func(parentRep, rep int32, n uint32)) {
+	if l < 1 || plo >= phi {
 		return
 	}
-	cur := &ix.lv[l]
 	par := &ix.lv[l-1]
-	j := par.find(cur.keys[lo] >> 2)
-	for i := lo; i < hi; i++ {
-		pk := cur.keys[i] >> 2
-		for par.keys[j] != pk {
-			j++
+	ch := &ix.lv[l]
+	for j := plo; j < phi; j++ {
+		pr, sub := par.reps[j], par.sub[j]
+		if sub&subUniform != 0 {
+			fn(pr, pr, uint32(bits.OnesCount8(sub&subMask)))
+			continue
 		}
-		fn(par.reps[j], cur.reps[i])
+		for i := par.childStart[j]; i < par.childStart[j+1]; i++ {
+			fn(pr, ch.reps[i], 1)
+		}
 	}
 }
 
@@ -383,6 +402,12 @@ var parentUpper = [4]struct{ dx, dy int32 }{{1, 0}, {-1, 1}, {0, 1}, {1, 1}}
 // (Chebyshev distance > 1) of the child at sub-position sa. Sub
 // positions are the low two key bits: bit 0 = x, bit 1 = y.
 var ilCross [4][4]uint8
+
+// ilCount[o][ma][mb] is the number of interaction-list pairs between
+// child groups with occupancy masks ma and mb of a parent and its o-th
+// upper neighbor: the sum over sa in ma of |ilCross[o][sa] & mb|. It is
+// at most 15 (the diagonal neighbor of a full parent).
+var ilCount [4][16][16]uint8
 
 // sibDelta[sa][o] is the key delta of the o-th upper parent neighbor
 // when it stays inside sa's aligned sibling quad (0 when the offset
@@ -407,6 +432,15 @@ func init() {
 				}
 			}
 		}
+		for ma := range ilCount[o] {
+			for mb := range ilCount[o][ma] {
+				for sa := 0; sa < 4; sa++ {
+					if ma>>sa&1 != 0 {
+						ilCount[o][ma][mb] += uint8(bits.OnesCount8(ilCross[o][sa] & uint8(mb)))
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -417,15 +451,22 @@ func abs(v int) int {
 	return v
 }
 
-// VisitUpperILPairs calls fn(rep, otherRep) once for every unordered
-// interaction-list pair of occupied cells at level l >= 2 whose
-// parents lie in positions [plo, phi) of level l-1 (the pair is
-// attributed to its row-major-lower parent). Instead of scanning the
-// 6x6 candidate window around every cell, the pass enumerates adjacent
-// parent pairs — four upper neighbor probes per occupied parent — and
-// crosses their child groups, which are contiguous runs of the level-l
-// slab, filtering sibling-adjacency by the precomputed ilCross masks.
-func (ix *Index) VisitUpperILPairs(l uint, plo, phi int, fn func(rep, other int32)) {
+// VisitUpperILPairs calls fn(rep, otherRep, n) for the unordered
+// interaction-list pairs of occupied cells at level l >= 2 whose
+// parents lie in positions [plo, phi) of level l-1 (a pair is
+// attributed to its row-major-lower parent); over all calls, n sums to
+// the number of such pairs between the two representatives. Instead of
+// scanning the 6x6 candidate window around every cell, the pass
+// enumerates adjacent parent pairs — four upper neighbor probes per
+// occupied parent — and crosses their child groups, which are
+// contiguous runs of the level-l slab, filtering sibling-adjacency by
+// the precomputed ilCross masks.
+//
+// Child groups that share one representative collapse: two uniform
+// parents report their whole crossing as one call weighted from
+// ilCount, and a uniform neighbor takes one call per child of the lower
+// parent. Only pairs of mixed groups are crossed child by child.
+func (ix *Index) VisitUpperILPairs(l uint, plo, phi int, fn func(rep, other int32, n uint32)) {
 	if l < 2 {
 		return
 	}
@@ -436,6 +477,7 @@ func (ix *Index) VisitUpperILPairs(l uint, plo, phi int, fn func(rep, other int3
 		kj := par.keys[j]
 		px, py := sfc.MortonCoords(kj)
 		aLo, aHi := par.childStart[j], par.childStart[j+1]
+		subA := par.sub[j]
 		sa := kj & 3
 		for o, off := range parentUpper {
 			var jq int
@@ -464,13 +506,29 @@ func (ix *Index) VisitUpperILPairs(l uint, plo, phi int, fn func(rep, other int3
 			if jq < 0 {
 				continue
 			}
+			subB := par.sub[jq]
+			if subB&subUniform != 0 {
+				rb, mb := par.reps[jq], subB&subMask
+				if subA&subUniform != 0 {
+					if n := ilCount[o][subA&subMask][mb]; n != 0 {
+						fn(par.reps[j], rb, uint32(n))
+					}
+					continue
+				}
+				for ai := aLo; ai < aHi; ai++ {
+					if n := bits.OnesCount8(ilCross[o][ch.keys[ai]&3] & mb); n != 0 {
+						fn(ch.reps[ai], rb, uint32(n))
+					}
+				}
+				continue
+			}
 			bLo, bHi := par.childStart[jq], par.childStart[jq+1]
 			for ai := aLo; ai < aHi; ai++ {
 				bm := ilCross[o][ch.keys[ai]&3]
 				ra := ch.reps[ai]
 				for bi := bLo; bi < bHi; bi++ {
 					if bm>>(ch.keys[bi]&3)&1 != 0 {
-						fn(ra, ch.reps[bi])
+						fn(ra, ch.reps[bi], 1)
 					}
 				}
 			}

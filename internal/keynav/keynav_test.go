@@ -151,6 +151,16 @@ func TestVisitUpperNeighborPairsMatchesOracle(t *testing.T) {
 	}
 }
 
+// oracleLinks returns the oracle's interpolation links of one level,
+// by unordered (parent, child) representative pair.
+func oracleLinks(tree *oracle.RankTree, l uint) map[uint64]int {
+	m := map[uint64]int{}
+	for _, c := range tree.Cells(l) {
+		m[pairKey(tree.Rep(l-1, geom.Pt(c.X/2, c.Y/2)), tree.Rep(l, c))]++
+	}
+	return m
+}
+
 // TestVisitParentLinksMatchesTree compares the interpolation link
 // multiset per level against the oracle tree's cell walk.
 func TestVisitParentLinksMatchesTree(t *testing.T) {
@@ -160,16 +170,14 @@ func TestVisitParentLinksMatchesTree(t *testing.T) {
 		ix := keynav.Build(a.Order, a.Particles, a.Ranks)
 		tree := oracle.NewRankTree(a.Order, a.Particles, a.Ranks)
 		for l := uint(1); l <= order; l++ {
-			want := map[uint64]int{}
-			for _, c := range tree.Cells(l) {
-				want[pairKey(tree.Rep(l-1, geom.Pt(c.X/2, c.Y/2)), tree.Rep(l, c))]++
-			}
-			for _, chunk := range []int{ix.LevelLen(l), 1, 5} {
+			want := oracleLinks(tree, l)
+			plen := ix.LevelLen(l - 1)
+			for _, chunk := range []int{plen, 1, 5} {
 				got := map[uint64]int{}
-				for lo := 0; lo < ix.LevelLen(l); lo += chunk {
-					hi := min(lo+chunk, ix.LevelLen(l))
-					ix.VisitParentLinks(l, lo, hi, func(parent, rep int32) {
-						got[pairKey(parent, rep)]++
+				for lo := 0; lo < plen; lo += chunk {
+					hi := min(lo+chunk, plen)
+					ix.VisitParentLinks(l, lo, hi, func(parent, rep int32, n uint32) {
+						got[pairKey(parent, rep)] += int(n)
 					})
 				}
 				if !mapsEqual(got, want) {
@@ -201,8 +209,8 @@ func TestVisitUpperILPairsMatchesTree(t *testing.T) {
 					got := map[uint64]int{}
 					for lo := 0; lo < plen; lo += chunk {
 						hi := min(lo+chunk, plen)
-						ix.VisitUpperILPairs(l, lo, hi, func(rep, other int32) {
-							got[pairKey(rep, other)] += 2
+						ix.VisitUpperILPairs(l, lo, hi, func(rep, other int32, n uint32) {
+							got[pairKey(rep, other)] += 2 * int(n)
 						})
 					}
 					if !mapsEqual(got, want) {
@@ -214,6 +222,117 @@ func TestVisitUpperILPairsMatchesTree(t *testing.T) {
 			ix.Release()
 		}
 	}
+}
+
+// farFieldCalls runs both weighted far-field visitors over every level
+// of the index and checks their expanded multisets against the oracle
+// tree. It returns the number of callbacks each visitor made.
+func farFieldCalls(t *testing.T, name string, ix *keynav.Index, tree *oracle.RankTree) (links, ils int) {
+	t.Helper()
+	for l := uint(1); l <= ix.Order; l++ {
+		got := map[uint64]int{}
+		ix.VisitParentLinks(l, 0, ix.LevelLen(l-1), func(parent, rep int32, n uint32) {
+			if n == 0 {
+				t.Fatalf("%s l=%d: zero-weight parent link (%d, %d)", name, l, parent, rep)
+			}
+			got[pairKey(parent, rep)] += int(n)
+			links++
+		})
+		if want := oracleLinks(tree, l); !mapsEqual(got, want) {
+			t.Fatalf("%s l=%d: weighted parent-link multiset mismatch (got %d, want %d links)", name, l, count(got), count(want))
+		}
+	}
+	for l := uint(2); l <= ix.Order; l++ {
+		got := map[uint64]int{}
+		ix.VisitUpperILPairs(l, 0, ix.LevelLen(l-1), func(rep, other int32, n uint32) {
+			if n == 0 || n > 15 {
+				t.Fatalf("%s l=%d: IL weight %d for (%d, %d) outside 1..15", name, l, n, rep, other)
+			}
+			got[pairKey(rep, other)] += 2 * int(n)
+			ils++
+		})
+		if want := oracleIL(tree, l); !mapsEqual(got, want) {
+			t.Fatalf("%s l=%d: weighted IL multiset mismatch (got %d, want %d ordered events)", name, l, count(got), count(want))
+		}
+	}
+	return links, ils
+}
+
+// upperParentPairs counts the occupied (parent, upper neighbor) cell
+// pairs of levels 1..order-1 by the oracle's maps: the most callbacks
+// the interaction-list visitor may make when every child group is
+// uniform.
+func upperParentPairs(tree *oracle.RankTree) int {
+	n := 0
+	for l := uint(1); l < tree.Order; l++ {
+		for _, c := range tree.Cells(l) {
+			for _, off := range [][2]int{{1, 0}, {-1, 1}, {0, 1}, {1, 1}} {
+				x, y := int(c.X)+off[0], int(c.Y)+off[1]
+				if x >= 0 && tree.Rep(l, geom.Pt(uint32(x), uint32(y))) >= 0 {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// TestVisitCollapseMatchesOracle forces every path of the weighted
+// far-field visitors: one rank (every child group is uniform, so each
+// adjacent parent pair and each parent collapses to one call), one
+// rank per particle (only single-child groups are uniform) and a mixed
+// ownership. The expanded multisets must equal the oracle's.
+func TestVisitCollapseMatchesOracle(t *testing.T) {
+	const order, n = 5, 300
+	for _, curve := range testCurves {
+		for _, p := range []int{1, n, 16} {
+			a := buildAssignment(t, curve, order, n, p, 37)
+			ix := keynav.Build(a.Order, a.Particles, a.Ranks)
+			tree := oracle.NewRankTree(a.Order, a.Particles, a.Ranks)
+			name := fmt.Sprintf("%s p=%d", curve.Name(), p)
+			links, ils := farFieldCalls(t, name, ix, tree)
+			if p == 1 {
+				parents := 0
+				for l := uint(0); l < order; l++ {
+					parents += ix.LevelLen(l)
+				}
+				if links != parents {
+					t.Fatalf("%s: %d parent-link calls, want one per parent (%d)", name, links, parents)
+				}
+				if limit := upperParentPairs(tree); ils > limit {
+					t.Fatalf("%s: %d IL calls, more than the %d occupied upper parent pairs", name, ils, limit)
+				}
+			}
+			ix.Release()
+		}
+	}
+}
+
+// TestVisitCollapseRebuildAcrossOrders refills one index through
+// growing and shrinking orders and ownerships, so a child summary left
+// behind by an earlier build would be read as stale; the weighted
+// visitors must match the oracle after each rebuild.
+func TestVisitCollapseRebuildAcrossOrders(t *testing.T) {
+	var ix *keynav.Index
+	for i, tc := range []struct {
+		order uint
+		p     int
+	}{{2, 1}, {5, 64}, {3, 1}, {5, 1}, {2, 4}, {4, 0}, {4, 1}} {
+		n := int(geom.Side(tc.order)) * int(geom.Side(tc.order)) / 3
+		p := tc.p
+		if p == 0 {
+			p = n
+		}
+		a := buildAssignment(t, sfc.Hilbert, tc.order, n, p, uint64(60+i))
+		if ix == nil {
+			ix = keynav.Build(a.Order, a.Particles, a.Ranks)
+		} else {
+			ix.Rebuild(a.Order, a.Particles, a.Ranks)
+		}
+		tree := oracle.NewRankTree(a.Order, a.Particles, a.Ranks)
+		farFieldCalls(t, fmt.Sprintf("rebuild %d (order %d, p=%d)", i, tc.order, p), ix, tree)
+	}
+	ix.Release()
 }
 
 // TestDenseGridAllLevels fills the grid completely, with one particle
@@ -237,8 +356,8 @@ func TestDenseGridAllLevels(t *testing.T) {
 	for l := uint(2); l <= order; l++ {
 		want := oracleIL(tree, l)
 		got := map[uint64]int{}
-		ix.VisitUpperILPairs(l, 0, ix.LevelLen(l-1), func(rep, other int32) {
-			got[pairKey(rep, other)] += 2
+		ix.VisitUpperILPairs(l, 0, ix.LevelLen(l-1), func(rep, other int32, n uint32) {
+			got[pairKey(rep, other)] += 2 * int(n)
 		})
 		if !mapsEqual(got, want) {
 			t.Fatalf("dense l=%d: IL multiset mismatch (got %d, want %d ordered events)", l, count(got), count(want))
@@ -406,27 +525,28 @@ func BenchmarkKeyNavBuild(b *testing.B) {
 
 // BenchmarkKeyNavILPairs measures one full interaction-list sweep over
 // every level, enumerated from adjacent occupied parent pairs — the
-// commmat.build.ffi hot loop.
+// commmat.build.ffi hot loop. The sparse case (64 ranks over many
+// particles) is dominated by collapsed single-representative groups.
 func BenchmarkKeyNavILPairs(b *testing.B) {
 	for _, tc := range []struct {
 		order uint
-		n     int
-	}{{6, 1000}, {8, 15625}} {
+		n, p  int
+	}{{6, 1000, 64}, {8, 15625, 64}, {8, 15625, 4096}, {10, 62500, 64}} {
 		pts, err := dist.SampleUnique(dist.Uniform, rng.New(uint64(tc.n)), tc.order, tc.n)
 		if err != nil {
 			b.Fatal(err)
 		}
-		a, err := acd.Assign(pts, sfc.Hilbert, tc.order, 64)
+		a, err := acd.Assign(pts, sfc.Hilbert, tc.order, tc.p)
 		if err != nil {
 			b.Fatal(err)
 		}
 		ix := keynav.Build(a.Order, a.Particles, a.Ranks)
-		b.Run(fmt.Sprintf("order%d_n%d", tc.order, tc.n), func(b *testing.B) {
-			var events int
+		b.Run(fmt.Sprintf("order%d_n%d_p%d", tc.order, tc.n, tc.p), func(b *testing.B) {
+			var events uint64
 			for i := 0; i < b.N; i++ {
 				for l := uint(2); l <= ix.Order; l++ {
-					ix.VisitUpperILPairs(l, 0, ix.LevelLen(l-1), func(rep, other int32) {
-						events++
+					ix.VisitUpperILPairs(l, 0, ix.LevelLen(l-1), func(rep, other int32, n uint32) {
+						events += uint64(n)
 					})
 				}
 			}

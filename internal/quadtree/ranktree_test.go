@@ -157,9 +157,9 @@ func TestVisitUpperInteractionPairsClosure(t *testing.T) {
 			}
 		}
 		upper := map[[2]int32]int{}
-		ix.VisitUpperILPairs(level, 0, ix.LevelLen(level-1), func(rep, other int32) {
-			upper[[2]int32{rep, other}]++
-			upper[[2]int32{other, rep}]++
+		ix.VisitUpperILPairs(level, 0, ix.LevelLen(level-1), func(rep, other int32, n uint32) {
+			upper[[2]int32{rep, other}] += int(n)
+			upper[[2]int32{other, rep}] += int(n)
 		})
 		if len(full) != len(upper) {
 			t.Fatalf("level %d: %d directed pairs from full enumeration, %d from upper closure", level, len(full), len(upper))
@@ -182,13 +182,13 @@ func TestVisitUpperInteractionPairsStripes(t *testing.T) {
 	defer ix.Release()
 	plen := ix.LevelLen(level - 1)
 	whole := map[[2]int32]int{}
-	ix.VisitUpperILPairs(level, 0, plen, func(rep, other int32) {
-		whole[[2]int32{rep, other}]++
+	ix.VisitUpperILPairs(level, 0, plen, func(rep, other int32, n uint32) {
+		whole[[2]int32{rep, other}] += int(n)
 	})
 	striped := map[[2]int32]int{}
 	for lo := 0; lo < plen; lo += 3 {
-		ix.VisitUpperILPairs(level, lo, min(lo+3, plen), func(rep, other int32) {
-			striped[[2]int32{rep, other}]++
+		ix.VisitUpperILPairs(level, lo, min(lo+3, plen), func(rep, other int32, n uint32) {
+			striped[[2]int32{rep, other}] += int(n)
 		})
 	}
 	if len(whole) != len(striped) {
